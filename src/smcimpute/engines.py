@@ -155,6 +155,16 @@ class Diagnostics:
         self.accepted[target] = self.accepted.get(target, 0) + int(accepted)
         self.fallbacks[target] = self.fallbacks.get(target, 0) + int(fallbacks)
 
+    def snapshot(self):
+        """Checkpoint of the trace length and counters, for `rollback`."""
+        return len(self.traces), dict(self.proposals), dict(self.accepted), dict(self.fallbacks)
+
+    def rollback(self, checkpoint) -> None:
+        """Discard everything recorded since `checkpoint` (retries excepted)."""
+        n_traces, proposals, accepted, fallbacks = checkpoint
+        del self.traces[n_traces:]
+        self.proposals, self.accepted, self.fallbacks = proposals, accepted, fallbacks
+
     def mean_acceptance(self, target) -> float:
         prop = self.proposals.get(target, 0)
         return self.accepted.get(target, 0) / prop if prop else float("nan")

@@ -437,3 +437,28 @@ def test_fcs_survival_materializes_cumhaz():
 
     na = nelson_aalen(w, ev)
     np.testing.assert_allclose(imp.column("ch").values, na(w))
+
+
+def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
+    import smcimpute.engines as engines
+    from smcimpute.fitters import FitError
+
+    real = engines.fit_and_draw_arrays
+    calls = {"n": 0}
+
+    def fail_third_call(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 3:  # chain 1, sweep 3: two sweeps already recorded
+            raise FitError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "fit_and_draw_arrays", fail_third_call)
+    d = quadratic_data(n=120, seed=4)
+    cfg = smcfcs_quadratic_config(m=2, iterations=4)
+    diag = run_smcfcs(d, cfg).diagnostics
+    assert diag.retries == 1
+    keys = [row[:4] for row in diag.traces]
+    assert len(keys) == len(set(keys))
+    assert {k[:2] for k in keys} == {(imp, s) for imp in (1, 2) for s in range(1, 5)}
+    n_miss = d.column("x").n_missing
+    assert diag.accepted["x"] + diag.fallbacks["x"] == 2 * 4 * n_miss
