@@ -24,6 +24,7 @@ from .dataset import (
     VariableKind,
     VariableRole,
     atomic_write_text,
+    check_row_lengths,
     read_csv,
 )
 from .engines import (
@@ -110,6 +111,10 @@ def _read_long_csv(path, schema):
         if header is None or "_imp" not in header:
             _fail("--data", "long-format file needs an _imp column")
         rows = list(reader)
+    try:
+        check_row_lengths(path, rows, len(header))
+    except DataError as exc:
+        _fail("--data", str(exc))
     imp_pos = header.index("_imp")
     names = [h for h in header if h != "_imp"]
     schema_by_name = {name: (name, kind, role) for name, kind, role in schema}

@@ -26,6 +26,7 @@ __all__ = [
     "DataError",
     "DEFAULT_MISSING_TOKENS",
     "read_csv",
+    "check_row_lengths",
     "write_csv",
     "completed_view",
     "missingness_order",
@@ -169,6 +170,13 @@ def _parse_cell(text: str, missing_tokens: Iterable[str]) -> float:
         raise DataError(f"unparseable cell {text!r}") from None
 
 
+def check_row_lengths(path, rows, width: int) -> None:
+    """Reject the first data row (after a one-line header) without `width` cells."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+
+
 def read_csv(
     path,
     schema: Sequence[tuple[str, VariableKind, VariableRole]],
@@ -196,6 +204,7 @@ def read_csv(
             raise DataError(f"{path}: column {absent[0]!r} missing from header")
         positions = {name: header.index(name) for name in schema_names}
         rows = list(reader)
+    check_row_lengths(path, rows, len(header))
 
     n = len(rows)
     cols = []
@@ -203,8 +212,6 @@ def read_csv(
         pos = positions[name]
         values = np.empty(n)
         for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
             values[i] = _parse_cell(row[pos], missing_tokens)
         observed = ~np.isnan(values)
         cols.append(Column(name, kind, role, values, observed))

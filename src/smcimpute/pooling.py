@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, t as t_dist
+from scipy.special import ndtri, stdtrit
 
 from .fitters import FitError
 from .formula import ModelFormula
@@ -95,8 +95,8 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
     half = np.empty_like(point)
     zero_b = between == 0.0
     alpha = 0.5 * (1.0 + level)
-    half[zero_b] = norm.ppf(alpha) * np.sqrt(total[zero_b])
-    half[~zero_b] = t_dist.ppf(alpha, df[~zero_b]) * np.sqrt(total[~zero_b])
+    half[zero_b] = ndtri(alpha) * np.sqrt(total[zero_b])
+    half[~zero_b] = stdtrit(df[~zero_b], alpha) * np.sqrt(total[~zero_b])
     labels = tuple(terms) if terms is not None else tuple(f"b{i}" for i in range(point.size))
     return PooledEstimate(
         terms=labels,

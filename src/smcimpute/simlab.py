@@ -11,7 +11,7 @@ Three study designs are covered, each with methods drawn from
 
 Residual variances are calibrated by a 10^6-draw Monte-Carlo of Var(g(X))
 so the true-model R^2 is 0.5; the observation-model intercept for the
-missing-at-random mechanism is calibrated by bisection so the marginal
+missing-at-random mechanism is calibrated by a Newton solve so the marginal
 observation probability hits its target.  Both calibrations use dedicated
 fixed seeds and are scenario constants.
 """
@@ -19,14 +19,11 @@ fixed seeds and are scenario constants.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
-from scipy.stats import norm, t as t_dist
+from scipy.special import expit, ndtri, stdtrit
 
 from .dataset import Column, Dataset, VariableKind, VariableRole, DataError
 from .engines import (
@@ -146,17 +143,34 @@ def residual_variance(dgp: str, variant: str) -> float:
 
 
 def calibrate_mar_intercept(y_sample, alpha1: float, target_p: float) -> float:
-    """alpha0 with mean(expit(alpha0 + alpha1 * y)) = target_p to within 1e-6."""
+    """alpha0 with mean(expit(alpha0 + alpha1 * y)) = target_p to within 1e-6.
+
+    The gap mean(p) - target_p is strictly increasing in alpha0 with slope
+    mean(p (1 - p)) and |gap''| <= gap', so a Newton step leaves an error of
+    at most half its square.  Steps that would leave the bracket [lo, hi]
+    around the root, which starts at [-60, 60] and shrinks with every
+    evaluation, are replaced by bisection.
+    """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target observation probability must be in (0, 1)")
     y = np.asarray(y_sample, dtype=float)
-
-    def gap(a0):
-        return float(np.mean(expit(a0 + alpha1 * y))) - target_p
-
-    alpha0 = brentq(gap, -60.0, 60.0, xtol=1e-12)
-    assert abs(gap(alpha0)) < 1e-6
-    return float(alpha0)
+    lo, hi, alpha0 = -60.0, 60.0, 0.0
+    for _ in range(200):
+        p = expit(alpha0 + alpha1 * y)
+        gap = float(np.mean(p)) - target_p
+        if gap < 0.0:
+            lo = alpha0
+        else:
+            hi = alpha0
+        slope = float(np.mean(p * (1.0 - p)))
+        step = gap / slope if slope > 0.0 else math.inf
+        if not lo <= alpha0 - step <= hi:
+            step = alpha0 - 0.5 * (lo + hi)
+        alpha0 -= step
+        if abs(step) < 1e-9:
+            break
+    assert abs(gap) < 1e-6
+    return alpha0
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +384,7 @@ def _complete_case(family, formula, d: Dataset, level=0.95):
         y = d.column(formula.response).values[keep]
         fit = fit_linear(X, y)
         se = np.sqrt(fit.coef_variances())
-        q = t_dist.ppf(alpha, fit.n - fit.k)
+        q = stdtrit(fit.n - fit.k, alpha)
         return fit.beta, fit.beta - q * se, fit.beta + q * se
     if family == "logistic":
         y = d.column(formula.response).values[keep]
@@ -378,12 +392,12 @@ def _complete_case(family, formula, d: Dataset, level=0.95):
         if not fit.converged:
             raise FitError("complete-case logistic fit did not converge")
         se = np.sqrt(fit.coef_variances())
-        q = norm.ppf(alpha)
+        q = ndtri(alpha)
         return fit.beta, fit.beta - q * se, fit.beta + q * se
     time_name, event_name = formula.response
     fit = fit_cox(X, d.column(time_name).values[keep], d.column(event_name).values[keep])
     se = np.sqrt(fit.coef_variances())
-    q = norm.ppf(alpha)
+    q = ndtri(alpha)
     return fit.beta, fit.beta - q * se, fit.beta + q * se
 
 
@@ -484,6 +498,8 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:
         residual_variance(cfg.dgp, cfg.variant)
     jobs = [(cfg, rep) for rep in range(cfg.reps)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool_:
             results = list(pool_.map(_replication_worker, jobs, chunksize=8))
     else:

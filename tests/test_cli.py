@@ -150,3 +150,18 @@ def test_simulate_scenario_json_file(tmp_path):
     rows = read_rows(out)
     assert {r["method"] for r in rows} == {"cc", "smcfcs"}
     assert {r["parameter"] for r in rows} == {"(intercept)", "x", "x^2"}
+
+
+@pytest.mark.parametrize("tail, bad_row, cells", [
+    ("\n", 5, 0),  # trailing blank line
+    ("2,0.5\n", 5, 2),  # short row
+])
+def test_analyze_malformed_row_is_usage_error(tmp_path, capsys, tail, bad_row, cells):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n1,0.0,1.0\n1,1.0,2.5\n2,0.0,1.1\n" + tail)
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                "--smodel", "y ~ x", "--out", tmp_path / "pooled.csv"])
+    assert code == 2
+    assert f"row {bad_row} has {cells} cells, expected 3" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import norm, t
 
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.formula import parse_formula
@@ -118,3 +118,22 @@ def test_fit_each_perfect_fit_zero_variance():
     d = _complete({"x": x, "y": 3.0 * x})
     est, var = fit_each([d, d], "normal_linear", parse_formula("y ~ x"))
     assert np.all(var == 0.0)
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+def test_intervals_match_scipy_stats_quantiles_bit_for_bit(level):
+    rng = np.random.default_rng(3)
+    est = rng.normal(size=(6, 4))
+    est[:, 1] = 0.5  # B = 0: normal-quantile branch
+    est[:, 2] = 1.0 + 1e-9 * np.arange(6)  # tiny B: df near 10^18
+    var = rng.random((6, 4)) + 0.5
+    p = pool(est, var, level=level)
+    assert p.between_var[1] == 0.0 and p.df[2] > 1e15
+    alpha = 0.5 * (1.0 + level)
+    half = np.where(
+        p.between_var == 0.0,
+        norm.ppf(alpha) * np.sqrt(p.total_var),
+        t.ppf(alpha, p.df) * np.sqrt(p.total_var),
+    )
+    np.testing.assert_array_equal(p.ci_low, p.point - half)
+    np.testing.assert_array_equal(p.ci_high, p.point + half)

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import expit
+from scipy.stats import norm, t
 
-from smcimpute.dataset import VariableRole
+from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
+from smcimpute.fitters import fit_cox, fit_linear, fit_logistic
+from smcimpute.formula import design_from_arrays, parse_formula
 from smcimpute.rng import stream
 from smcimpute.simlab import (
+    CALIBRATION_DRAWS,
+    CALIBRATION_SEED,
     ScenarioConfig,
+    _complete_case,
     apply_mar,
     apply_mcar,
     builtin_scenarios,
@@ -137,6 +147,35 @@ def test_calibrate_mar_intercept_closed_forms():
         calibrate_mar_intercept(y, 0.0, 1.5)
 
 
+def _brentq_intercept(y, alpha1, target_p):
+    return brentq(lambda a0: float(np.mean(expit(a0 + alpha1 * y))) - target_p,
+                  -60.0, 60.0, xtol=1e-12)
+
+
+def test_mar_intercepts_of_builtin_scenarios_match_brentq():
+    scenarios = [c for c in builtin_scenarios().values() if c.mechanism == "mar"]
+    assert len(scenarios) == 8
+    for cfg in scenarios:
+        gen = gen_quadratic if cfg.dgp == "quadratic" else gen_interaction
+        rng = stream(CALIBRATION_SEED, "mar", cfg.dgp, cfg.variant)
+        y = gen(cfg.variant, CALIBRATION_DRAWS, rng).column("y").values
+        alpha0, alpha1 = mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs)
+        assert alpha1 == -1.0 / float(np.std(y))
+        assert abs(alpha0 - _brentq_intercept(y, alpha1, cfg.p_obs)) <= 1e-12
+
+
+@given(
+    y=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=60),
+    alpha1=st.floats(-3.0, 3.0),
+    target_p=st.floats(0.02, 0.98),
+)
+@settings(max_examples=300, deadline=None)
+def test_calibrate_mar_intercept_matches_brentq(y, alpha1, target_p):
+    y = np.asarray(y)
+    expected = _brentq_intercept(y, alpha1, target_p)
+    assert abs(calibrate_mar_intercept(y, alpha1, target_p) - expected) <= 1e-12
+
+
 def test_mar_calibration_hits_marginal_rate():
     alpha0, alpha1 = mar_intercept("quadratic", "normal", 0.7)
     assert alpha1 < 0
@@ -192,6 +231,52 @@ def test_complete_case_unbiased_under_mcar():
     for i, label in enumerate(labels):
         row = s.row("cc", label)
         assert abs(row.mean - truth[i]) < 3.0 * row.mc_error_mean + 1e-9
+
+
+def _scipy_stats_complete_case(family, formula, d, level=0.95):
+    keep = np.ones(d.n, dtype=bool)
+    for col in d.partial_covariates():
+        keep &= col.observed
+    cols = {v: d.column(v).values[keep] for v in formula.variables}
+    X = design_from_arrays(formula.terms, formula.intercept, cols, int(keep.sum()))
+    alpha = 0.5 * (1.0 + level)
+    if family == "cox":
+        time_name, event_name = formula.response
+        fit = fit_cox(X, d.column(time_name).values[keep], d.column(event_name).values[keep])
+        q = norm.ppf(alpha)
+    elif family == "logistic":
+        fit = fit_logistic(X, d.column(formula.response).values[keep])
+        q = norm.ppf(alpha)
+    else:
+        fit = fit_linear(X, d.column(formula.response).values[keep])
+        q = t.ppf(alpha, fit.n - fit.k)
+    se = np.sqrt(fit.coef_variances())
+    return fit.beta, fit.beta - q * se, fit.beta + q * se
+
+
+def _logistic_outcome_data(n, rng):
+    x = rng.normal(size=n)
+    y = (rng.random(n) < expit(0.5 + x)).astype(float)
+    full = np.ones(n, dtype=bool)
+    return Dataset((
+        Column("x", VariableKind.CONTINUOUS, VariableRole.PARTIAL_COVARIATE, x, full.copy()),
+        Column("y", VariableKind.BINARY, VariableRole.OUTCOME, y, full),
+    ))
+
+
+@pytest.mark.parametrize("family", ["normal_linear", "logistic", "cox"])
+def test_complete_case_intervals_match_scipy_stats_bit_for_bit(family):
+    rng = stream(21, "cc", family)
+    if family == "normal_linear":
+        d, formula = gen_interaction("bvnormal", 300, rng), parse_formula("y ~ x1 + x2 + x1*x2")
+    elif family == "logistic":
+        d, formula = _logistic_outcome_data(300, rng), parse_formula("y ~ x")
+    else:
+        d, formula = gen_cox(300, rng), parse_formula("surv(w,d) ~ x1 + x2")
+    d = apply_mcar(d, 0.7, stream(21, "ccmask", family))
+    for got, want in zip(_complete_case(family, formula, d),
+                         _scipy_stats_complete_case(family, formula, d)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_study_scale_smcfcs_runs_need_no_fallback():
