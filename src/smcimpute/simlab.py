@@ -146,8 +146,9 @@ def calibrate_mar_intercept(y_sample, alpha1: float, target_p: float) -> float:
     """alpha0 with mean(expit(alpha0 + alpha1 * y)) = target_p to within 1e-6.
 
     The gap mean(p) - target_p is strictly increasing in alpha0 with slope
-    mean(p (1 - p)) and |gap''| <= gap', so a Newton step leaves an error of
-    at most half its square.  Steps that would leave the bracket [lo, hi]
+    mean(p (1 - p)) and |gap''| <= gap', so near the root a Newton step
+    leaves an error of about half its square or less, and the solve stops
+    after a step below 1e-9.  Steps that would leave the bracket [lo, hi]
     around the root, which starts at [-60, 60] and shrinks with every
     evaluation, are replaced by bisection.
     """
