@@ -2,9 +2,10 @@
 
 Newton-Raphson fits (logistic, Cox) iterate until the score norm drops below
 1e-8 or 50 iterations, with step halving whenever a step would decrease the
-log-likelihood.  Divergence (separation in logistic regression, monotone
-partial likelihood in Cox regression) is declared when any coefficient
-exceeds 30 on the scale of its standardized predictor.
+log-likelihood by more than a relative 1e-12.  Divergence (separation in
+logistic regression, monotone partial likelihood in Cox regression) is
+declared when any coefficient exceeds 30 on the scale of its standardized
+predictor.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
 
 SCORE_TOL = 1e-8
 MAX_ITER = 50
+# a step is halved only if it lowers the log-likelihood by more than this
+# share of |ll|; an absolute bound would sit below one ulp of ll at large n
+HALVING_TOL = 1e-12
 DIVERGENCE_THRESHOLD = 30.0
 
 
@@ -168,7 +172,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
         for _ in range(30):
             candidate = beta + scale * step
             ll_new, score_new, info_new = logistic_loglik(X, y, candidate)
-            if ll_new >= ll - 1e-12:
+            if ll_new >= ll - HALVING_TOL * max(1.0, abs(ll)):
                 break
             scale *= 0.5
         beta, ll, score, info = candidate, ll_new, score_new, info_new
@@ -340,7 +344,7 @@ def fit_cox(
         for _ in range(30):
             candidate = beta + scale * step
             ll_new = _cox_loglik_only(ts, xs, ds, risk_start, d_count, candidate)
-            if ll_new >= ll - 1e-12:
+            if ll_new >= ll - HALVING_TOL * max(1.0, abs(ll)):
                 break
             scale *= 0.5
         beta = candidate

@@ -349,3 +349,31 @@ def test_covariances_pass_cholesky():
     np.linalg.cholesky(cox.covariance)
     assert np.array_equal(glm.covariance, glm.covariance.T)
     assert np.array_equal(cox.covariance, cox.covariance.T)
+
+
+# ---------------------------------------------------------------------------
+# Newton step halving at large n, where |ll| ~ 1e5 and rounding noise in ll
+# exceeds any fixed absolute tolerance
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_cox_converges_at_n_1e5(seed):
+    from smcimpute.simlab import gen_cox
+
+    d = gen_cox(100_000, rng0(seed))
+    X = np.column_stack([d.column("x1").values, d.column("x2").values])
+    fit = fit_cox(X, d.column("w").values, d.column("d").values)
+    _, score, _ = cox_loglik(X, d.column("w").values, d.column("d").values, fit.beta)
+    assert np.linalg.norm(score) < 1e-8
+    np.testing.assert_allclose(fit.beta, [1.0, 1.0], atol=0.03)
+
+
+def test_logistic_converges_at_n_1e5():
+    # the covariate model of a binary x1 given a continuous x2 ~ N(x1, 1)
+    rng = rng0(8)
+    n = 100_000
+    y = (rng.random(n) < 0.5).astype(float)
+    X = np.column_stack([np.ones(n), rng.normal(y, 1.0)])
+    fit = fit_logistic(X, y)
+    assert fit.converged and fit.iterations < 10
+    _, score, _ = logistic_loglik(X, y, fit.beta)
+    assert np.linalg.norm(score) < 1e-8
