@@ -17,6 +17,7 @@ import numpy as np
 
 from .covariates import CovariateModelSpec
 from .dataset import (
+    CHUNK_ROWS,
     DEFAULT_MISSING_TOKENS,
     Column,
     DataError,
@@ -24,8 +25,10 @@ from .dataset import (
     VariableKind,
     VariableRole,
     atomic_write_text,
-    check_row_lengths,
+    format_rows,
+    format_values,
     read_csv,
+    read_table,
 )
 from .engines import (
     EngineConfig,
@@ -92,56 +95,54 @@ def _load_dataset(args, schema):
 
 
 def _write_long_csv(path, datasets, names):
-    lines = [",".join(["_imp"] + list(names))]
-    for index, d in enumerate(datasets, start=1):
-        cols = [d.column(name).values for name in names]
-        for i in range(d.n):
-            lines.append(",".join([str(index)] + [repr(float(c[i])) for c in cols]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    def chunks():
+        yield ",".join(["_imp", *names]) + "\n"
+        for index, d in enumerate(datasets, start=1):
+            values = [d.column(name).values for name in names]
+            for start in range(0, d.n, CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                label = [str(index)] * (min(d.n, start + CHUNK_ROWS) - start)
+                yield format_rows([label] + [format_values(v[rows]) for v in values])
+
+    atomic_write_text(path, chunks())
 
 
 def _read_long_csv(path, schema):
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        _fail("--data", str(exc))
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "_imp" not in header:
+    """One completed Dataset per _imp value, in ascending _imp order."""
+    schema_by_name = {name: (kind, role) for name, kind, role in schema}
+
+    def check_header(header):
+        if "_imp" not in header:
             _fail("--data", "long-format file needs an _imp column")
-        rows = list(reader)
+        unknown = [h for h in header if h != "_imp" and h not in schema_by_name]
+        if unknown:
+            _fail("--schema", f"column {unknown[0]!r} in data has no schema entry")
+
     try:
-        check_row_lengths(path, rows, len(header))
-    except DataError as exc:
+        header, columns = read_table(path, check_header=check_header)
+    except (OSError, DataError) as exc:
         _fail("--data", str(exc))
-    imp_pos = header.index("_imp")
-    names = [h for h in header if h != "_imp"]
-    schema_by_name = {name: (name, kind, role) for name, kind, role in schema}
-    missing = [n for n in names if n not in schema_by_name]
-    if missing:
-        _fail("--schema", f"column {missing[0]!r} in data has no schema entry")
-    groups: dict[int, list] = {}
-    for row in rows:
-        try:
-            imp = int(row[imp_pos])
-        except ValueError:
-            _fail("--data", f"bad _imp value {row[imp_pos]!r}")
-        groups.setdefault(imp, []).append(row)
+    imp = columns[header.index("_imp")]
+    bad = ~np.isfinite(imp) | (imp != np.floor(imp))
+    if bad.any():
+        _fail("--data", f"bad _imp value {imp[bad][0]!r}")
+    if np.any(imp[1:] < imp[:-1]):
+        order = np.argsort(imp, kind="stable")
+        imp = imp[order]
+        columns = [values[order] for values in columns]
+    labels, starts, counts = np.unique(imp, return_index=True, return_counts=True)
+    if counts.size and counts.min() != counts.max():
+        _fail("--data", f"imputations differ in length: _imp {labels[counts.argmin()]:.0f} "
+                        f"has {counts.min()} rows, _imp {labels[counts.argmax()]:.0f} "
+                        f"has {counts.max()}")
     datasets = []
-    positions = [header.index(n) for n in names]
-    for imp in sorted(groups):
-        block = groups[imp]
-        cols = []
-        for name, pos in zip(names, positions):
-            _, kind, role = schema_by_name[name]
-            try:
-                values = np.array([float(r[pos]) for r in block])
-            except ValueError:
-                _fail("--data", f"unparseable cell in column {name}")
-            cols.append(Column(name, kind, role, values, np.ones(len(block), dtype=bool)))
+    for start, n in zip(starts.tolist(), counts.tolist()):
         try:
-            datasets.append(Dataset(tuple(cols)))
+            datasets.append(Dataset(tuple(
+                Column(name, *schema_by_name[name], values[start:start + n],
+                       np.ones(n, dtype=bool))
+                for name, values in zip(header, columns) if name != "_imp"
+            )))
         except DataError as exc:
             _fail("--data", str(exc))
     return datasets
@@ -244,7 +245,10 @@ def cmd_analyze(args) -> int:
         "model is compatible with, or richer than, the model fitted here",
         file=sys.stderr,
     )
-    estimates, variances = fit_each(datasets, family, formula)
+    try:
+        estimates, variances = fit_each(datasets, family, formula)
+    except FormulaError as exc:
+        _fail("--smodel", str(exc))
     pooled = pool(estimates, variances, level=args.level, terms=formula.labels())
     atomic_write_text(args.out, pooled.to_csv_text())
     return 0

@@ -9,11 +9,12 @@ False while carrying filled-in values.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,8 +26,11 @@ __all__ = [
     "Dataset",
     "DataError",
     "DEFAULT_MISSING_TOKENS",
+    "CHUNK_ROWS",
+    "read_table",
     "read_csv",
-    "check_row_lengths",
+    "format_values",
+    "format_rows",
     "write_csv",
     "completed_view",
     "missingness_order",
@@ -34,6 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_MISSING_TOKENS = ("", "NA", ".")
+
+# rows held as Python strings at once while a CSV file is read or written
+CHUNK_ROWS = 4096
 
 # roles whose columns must be fully observed
 _COMPLETE_ROLES = frozenset(
@@ -161,20 +168,55 @@ class Dataset:
         return Dataset(tuple(cols))
 
 
-def _parse_cell(text: str, missing_tokens: Iterable[str]) -> float:
-    if text in missing_tokens:
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"unparseable cell {text!r}") from None
+def read_table(path, missing_tokens: Iterable[str] = (), check_header=None):
+    """The header and the float64 columns of a CSV file, read in chunks of rows.
+
+    `check_header(header)` runs before any data row is read.  A cell equal to
+    one of `missing_tokens` becomes NaN.  At most CHUNK_ROWS rows exist as
+    Python objects at once: each cell is parsed straight into an array('d')
+    column, which becomes numpy without a copy.  Raises DataError for an
+    empty file, a header that names a column twice, a row of the wrong
+    width, a cell that is not a number, or a file the csv module rejects.
+    """
+    as_nan = dict.fromkeys(missing_tokens, "nan")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise DataError(f"{path}: column {repeated[0]!r} appears twice in the header")
+            if check_header is not None:
+                check_header(header)
+            width = len(header)
+            columns = [array("d") for _ in header]
+            first_row = 2  # line 1 is the header
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                if set(map(len, chunk)) != {width}:
+                    i = next(i for i, row in enumerate(chunk) if len(row) != width)
+                    raise DataError(f"{path}: row {first_row + i} has {len(chunk[i])} cells, "
+                                    f"expected {width}")
+                for name, column, cells in zip(header, columns, zip(*chunk)):
+                    # as_nan.get(cell, cell) turns a missing token into "nan"
+                    try:
+                        column.extend(map(float, map(as_nan.get, cells, cells)))
+                    except ValueError:
+                        _raise_unparseable(path, name, cells, first_row, as_nan)
+                first_row += len(chunk)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: {exc}") from None
+    return header, [np.frombuffer(column, dtype=float) for column in columns]
 
 
-def check_row_lengths(path, rows, width: int) -> None:
-    """Reject the first data row (after a one-line header) without `width` cells."""
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+def _raise_unparseable(path, name, cells, first_row, as_nan):
+    for i, cell in enumerate(cells):
+        try:
+            float(as_nan.get(cell, cell))
+        except ValueError:
+            raise DataError(f"{path}: row {first_row + i}: unparseable cell {cell!r} "
+                            f"in column {name}") from None
 
 
 def read_csv(
@@ -188,65 +230,65 @@ def read_csv(
     a missing token become missing (mask False).  Missingness is rejected in
     columns whose role requires complete observation.
     """
-    missing_tokens = set(missing_tokens)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        schema_names = [name for name, _, _ in schema]
+    schema_names = [name for name, _, _ in schema]
+
+    def check_header(header):
         unknown = [h for h in header if h not in schema_names]
         if unknown:
             raise DataError(f"{path}: unknown column {unknown[0]!r}")
         absent = [n for n in schema_names if n not in header]
         if absent:
             raise DataError(f"{path}: column {absent[0]!r} missing from header")
-        positions = {name: header.index(name) for name in schema_names}
-        rows = list(reader)
-    check_row_lengths(path, rows, len(header))
 
-    n = len(rows)
-    cols = []
-    for name, kind, role in schema:
-        pos = positions[name]
-        values = np.empty(n)
-        for i, row in enumerate(rows):
-            values[i] = _parse_cell(row[pos], missing_tokens)
-        observed = ~np.isnan(values)
-        cols.append(Column(name, kind, role, values, observed))
-    return Dataset(tuple(cols))
+    header, columns = read_table(path, missing_tokens, check_header)
+    by_name = dict(zip(header, columns))
+    return Dataset(tuple(
+        Column(name, kind, role, by_name[name], ~np.isnan(by_name[name]))
+        for name, kind, role in schema
+    ))
 
 
-def _format_cell(value: float, observed: bool, missing_token: str) -> str:
-    if not observed:
-        return missing_token
-    return repr(float(value))
+def format_values(values: np.ndarray) -> list[str]:
+    """The repr of each value, which reads back bit-exactly."""
+    return list(map(repr, values.tolist()))
+
+
+def format_rows(columns: Sequence[Sequence[str]]) -> str:
+    """CSV lines, each ending in a newline, from equal-length columns of cells."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def write_csv(d: Dataset, path, missing_token: str = "") -> None:
     """Write a dataset; unobserved cells come out as the missing token.
 
     Values are formatted with repr so a read-back reproduces them bit-exactly.
+    The rows go to the file CHUNK_ROWS at a time.
     """
-    lines = [",".join(d.names)]
-    for i in range(d.n):
-        lines.append(
-            ",".join(
-                _format_cell(c.values[i], bool(c.observed[i]), missing_token)
-                for c in d.columns
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    def chunks():
+        yield ",".join(d.names) + "\n"
+        for start in range(0, d.n, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            columns = []
+            for col in d.columns:
+                cells = format_values(col.values[rows])
+                for i in np.flatnonzero(~col.observed[rows]).tolist():
+                    cells[i] = missing_token
+                columns.append(cells)
+            yield format_rows(columns)
+
+    atomic_write_text(path, chunks())
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-and-rename so readers never see a partial file."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write a string, or an iterable of string chunks, via temp-and-rename so
+    readers never see a partial file.  If a chunk cannot be produced, the
+    temp file is removed and `path` is left as it was."""
+    chunks = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

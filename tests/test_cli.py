@@ -1,10 +1,13 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smcimpute.cli import main
-from smcimpute.dataset import write_csv
+from smcimpute.cli import _read_long_csv, _write_long_csv, main, read_schema
+from smcimpute.dataset import Column, Dataset, write_csv
 from smcimpute.rng import stream
 from smcimpute.simlab import apply_mcar, gen_quadratic
 
@@ -165,3 +168,101 @@ def test_analyze_malformed_row_is_usage_error(tmp_path, capsys, tail, bad_row, c
                 "--smodel", "y ~ x", "--out", tmp_path / "pooled.csv"])
     assert code == 2
     assert f"row {bad_row} has {cells} cells, expected 3" in capsys.readouterr().err
+
+
+def test_analyze_smodel_with_unknown_column_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n1,0.0,1.0\n1,1.0,2.5\n2,0.0,1.1\n2,1.0,2.4\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                "--smodel", "y ~ x + z", "--out", tmp_path / "pooled.csv"])
+    assert code == 2
+    assert "--smodel: formula references unknown column 'z'" in capsys.readouterr().err
+
+
+def test_analyze_unequal_imputation_lengths_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n1,0.0,1.0\n1,1.0,2.5\n1,2.0,2.9\n2,0.0,1.1\n2,1.0,2.4\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                "--smodel", "y ~ x", "--out", tmp_path / "pooled.csv"])
+    assert code == 2
+    assert "_imp 2 has 2 rows, _imp 1 has 3" in capsys.readouterr().err
+
+
+def test_impute_repeated_header_name_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,x,y\n1.0,2.0,0.5\n,1.0,1.5\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    code = run(["impute", "--data", data, "--schema", schema, "--method", "fcs",
+                "--m", 2, "--out", tmp_path / "o.csv"])
+    assert code == 2
+    assert "'x' appears twice in the header" in capsys.readouterr().err
+
+
+def test_long_csv_blocks_come_in_ascending_imp_order(tmp_path):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n2,20.0,1.0\n1,10.0,2.0\n2,21.0,3.0\n1,11.0,4.0\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    first, second = _read_long_csv(data, read_schema(schema))
+    assert list(first.column("x").values) == [10.0, 11.0]
+    assert list(first.column("y").values) == [2.0, 4.0]
+    assert list(second.column("x").values) == [20.0, 21.0]
+
+
+EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=4),
+    columns=st.lists(
+        st.lists(st.one_of(st.sampled_from(EXTREMES),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=5, max_size=5),
+        min_size=8, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_long_csv_round_trip_is_bit_exact(m, columns, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("long")
+    (tmp / "schema.csv").write_text(SCHEMA)
+    schema = read_schema(tmp / "schema.csv")
+    full = np.ones(5, dtype=bool)
+    datasets = [
+        Dataset(tuple(Column(name, kind, role, np.array(columns[2 * k + j]), full)
+                      for j, (name, kind, role) in enumerate(schema)))
+        for k in range(m)
+    ]
+    _write_long_csv(tmp / "long.csv", datasets, ["x", "y"])
+    back = _read_long_csv(tmp / "long.csv", schema)
+    assert len(back) == m
+    for d, d2 in zip(datasets, back):
+        for name in ("x", "y"):
+            assert d.column(name).values.tobytes() == d2.column(name).values.tobytes()
+
+
+def test_reading_a_long_csv_holds_little_beyond_its_numbers(tmp_path):
+    n, m = 20_000, 5
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=n)
+    lines = ["_imp,x,y"]
+    for k in range(1, m + 1):
+        lines += [f"{k},{a!r},{b!r}" for a, b in zip(rng.normal(size=n).tolist(), y.tolist())]
+    data = tmp_path / "long.csv"
+    data.write_text("\n".join(lines) + "\n")
+    del lines
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    schema = read_schema(schema)
+    payload = m * n * 3 * 8  # float64 cells, _imp included
+    tracemalloc.start()
+    try:
+        datasets = _read_long_csv(data, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(datasets) == m and datasets[0].n == n
+    assert peak < 3 * payload

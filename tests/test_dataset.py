@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcimpute.dataset import (
+    CHUNK_ROWS,
     Column,
     DataError,
     Dataset,
     VariableKind,
     VariableRole,
+    atomic_write_text,
     completed_view,
     missingness_order,
     read_csv,
@@ -98,6 +100,92 @@ def test_write_read_round_trip_bit_exact(d, tmp_path_factory):
     for col, col2 in zip(d.columns, back.columns):
         assert np.array_equal(col.observed, col2.observed)
         assert np.array_equal(col.values, col2.values, equal_nan=True)
+
+
+# values whose repr must survive a write and a read-back bit for bit
+EXTREMES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=12),
+    observed=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_round_trip_keeps_extreme_values_and_missing_cells(values, observed, tmp_path_factory):
+    n = len(values)
+    obs = np.array(observed[:n])
+    a = np.where(obs, values, np.nan)
+    d = make_dataset([("a", C, PART, a, obs), ("y", C, OUT, values, np.ones(n, dtype=bool))])
+    path = tmp_path_factory.mktemp("rt") / "d.csv"
+    write_csv(d, path)
+    back = read_csv(path, [(c.name, c.kind, c.role) for c in d.columns])
+    assert np.array_equal(back.column("a").observed, obs)
+    for name in ("a", "y"):
+        # bit patterns, so -0.0 and 0.0 differ
+        assert d.column(name).values.tobytes() == back.column(name).values.tobytes()
+
+
+def test_read_csv_rejects_repeated_header_name(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,a,b,y\n1.0,2.0,0,0.5\n")
+    with pytest.raises(DataError, match="'a' appears twice"):
+        read_csv(path, simple_schema())
+
+
+def test_read_csv_row_numbers_run_across_chunks(tmp_path):
+    rows = ["1.0,0,0.5"] * (CHUNK_ROWS + 3)
+    rows[CHUNK_ROWS + 1] = "1.0,0"
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=f"row {CHUNK_ROWS + 3} has 2 cells, expected 3"):
+        read_csv(path, simple_schema())
+    rows[CHUNK_ROWS + 1] = "1.0,0,oops"
+    path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=f"row {CHUNK_ROWS + 3}: unparseable cell 'oops' in column y"):
+        read_csv(path, simple_schema())
+
+
+def test_read_csv_numeric_missing_token(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n-99,1,0.5\n2.0,-99,3\n")
+    d = read_csv(path, simple_schema(), missing_tokens=("-99",))
+    assert list(d.column("a").observed) == [False, True]
+    assert list(d.column("b").observed) == [True, False]
+
+
+def test_read_csv_header_only_gives_empty_dataset(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n")
+    assert read_csv(path, simple_schema()).n == 0
+
+
+def test_read_csv_undecodable_bytes_are_a_data_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,b,y\n\xff\xfe,0,0.5\n")
+    with pytest.raises(DataError):
+        read_csv(path, simple_schema())
+
+
+def test_atomic_write_text_failing_chunks_leave_no_file(tmp_path):
+    def chunks():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write_text(target, chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_text_joins_chunks(tmp_path):
+    target = tmp_path / "out.csv"
+    atomic_write_text(target, iter(["a,b\n", "1,2\n"]))
+    assert target.read_text() == "a,b\n1,2\n"
+    atomic_write_text(target, "whole\n")
+    assert target.read_text() == "whole\n"
 
 
 def test_completed_view_no_missing_identity():
