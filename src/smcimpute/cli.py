@@ -119,7 +119,7 @@ def _read_long_csv(path, schema):
             _fail("--schema", f"column {unknown[0]!r} in data has no schema entry")
 
     try:
-        header, columns = read_table(path, check_header=check_header)
+        header, columns = read_table(path, check_header)
     except (OSError, DataError) as exc:
         _fail("--data", str(exc))
     imp = columns[header.index("_imp")]

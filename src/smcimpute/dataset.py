@@ -168,7 +168,7 @@ class Dataset:
         return Dataset(tuple(cols))
 
 
-def read_table(path, missing_tokens: Iterable[str] = (), check_header=None):
+def read_table(path, check_header, missing_tokens: Iterable[str] = ()):
     """The header and the float64 columns of a CSV file, read in chunks of rows.
 
     `check_header(header)` runs before any data row is read.  A cell equal to
@@ -188,8 +188,7 @@ def read_table(path, missing_tokens: Iterable[str] = (), check_header=None):
             repeated = [h for i, h in enumerate(header) if h in header[:i]]
             if repeated:
                 raise DataError(f"{path}: column {repeated[0]!r} appears twice in the header")
-            if check_header is not None:
-                check_header(header)
+            check_header(header)
             width = len(header)
             columns = [array("d") for _ in header]
             first_row = 2  # line 1 is the header
@@ -240,7 +239,7 @@ def read_csv(
         if absent:
             raise DataError(f"{path}: column {absent[0]!r} missing from header")
 
-    header, columns = read_table(path, missing_tokens, check_header)
+    header, columns = read_table(path, check_header, missing_tokens)
     by_name = dict(zip(header, columns))
     return Dataset(tuple(
         Column(name, kind, role, by_name[name], ~np.isnan(by_name[name]))
