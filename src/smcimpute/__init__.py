@@ -9,8 +9,6 @@ rules and a Monte-Carlo simulation lab.
 from .covariates import (
     CovariateModelSpec,
     CovariateParams,
-    conditional_density,
-    fit_and_draw_covariate,
     sample_covariate,
 )
 from .dataset import (
@@ -19,7 +17,6 @@ from .dataset import (
     Dataset,
     VariableKind,
     VariableRole,
-    completed_view,
     missingness_order,
     read_csv,
     write_csv,
@@ -31,7 +28,6 @@ from .engines import (
     EngineFailure,
     ImputationResult,
     default_covariate_specs,
-    initialize,
     jav_analysis_formula,
     jav_config,
     run_fcs,
@@ -55,13 +51,6 @@ from .fitters import (
 from .formula import FormulaError, ModelFormula, Term, design_matrix, parse_formula
 from .pooling import PooledEstimate, PoolError, fit_each, pool
 from .rng import stream, subsequence
-from .substantive import (
-    SubstantiveParams,
-    acceptance_ratio_cox_censored,
-    acceptance_ratio_cox_event,
-    acceptance_ratio_discrete,
-    acceptance_ratio_normal,
-    draw_substantive_posterior,
-)
+from .substantive import SubstantiveParams
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .covariates import CovariateModelSpec
+from .covariates import CovariateModelSpec, covariate_family
 from .dataset import (
     CHUNK_ROWS,
     DEFAULT_MISSING_TOKENS,
@@ -171,12 +171,11 @@ def _covariate_specs_from_flags(args, d):
         target = f.response
         if not d.has_column(target):
             _fail("--covmodel", f"unknown target column {target!r}")
-        kind = d.column(target).kind
-        family = "logistic" if kind is VariableKind.BINARY else "normal_linear"
         if any(v == CUMHAZ_NAME for t in f.terms for v in t.variables):
             cumhaz = CUMHAZ_NAME
         specs.append(CovariateModelSpec(
-            target=target, family=family, predictors=f.terms, intercept=f.intercept,
+            target=target, family=covariate_family(d.column(target).kind),
+            predictors=f.terms, intercept=f.intercept,
         ))
     return tuple(specs), cumhaz
 
@@ -186,6 +185,8 @@ def cmd_impute(args) -> int:
     d = _load_dataset(args, schema)
     if args.m < 1:
         _fail("--m", "must be >= 1")
+    if args.iter is not None and args.iter < 1:
+        _fail("--iter", "must be >= 1")
     if args.method == "smcfcs":
         if not args.smodel:
             _fail("--smodel", "required when --method smcfcs")
@@ -231,6 +232,8 @@ def cmd_impute(args) -> int:
 # analyze
 
 def cmd_analyze(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        _fail("--level", "must be strictly between 0 and 1")
     schema = read_schema(args.schema)
     datasets = _read_long_csv(args.data, schema)
     if len(datasets) < 2:
@@ -258,6 +261,8 @@ def cmd_analyze(args) -> int:
 # simulate
 
 def _load_scenario(args) -> ScenarioConfig:
+    if args.reps is not None and args.reps < 1:
+        _fail("--reps", "must be >= 1")
     catalog = builtin_scenarios()
     if args.scenario in catalog:
         cfg = catalog[args.scenario]
@@ -267,6 +272,8 @@ def _load_scenario(args) -> ScenarioConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 _fail("--scenario", f"bad JSON: {exc}")
+        if not isinstance(raw, dict):
+            _fail("--scenario", "JSON must be an object of ScenarioConfig fields")
         raw.setdefault("name", os.path.splitext(os.path.basename(args.scenario))[0])
         if "methods" in raw:
             raw["methods"] = tuple(raw["methods"])

@@ -3,7 +3,8 @@
 These serve double duty: imputation models in standard chained-equations
 imputation, and proposal densities for the substantive-model-compatible
 sampler.  Families are normal linear (continuous targets) and logistic
-(binary targets).
+(binary targets); their fits, posterior draws and sampling are the
+FAMILIES objects of the substantive module.
 """
 
 from __future__ import annotations
@@ -11,28 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
-from .fitters import (
-    FitError,
-    draw_glm_posterior,
-    draw_linear_posterior,
-    fit_linear,
-    fit_logistic,
-)
+from .dataset import VariableKind
 from .formula import Term, design_from_arrays
+from .substantive import FAMILIES, log_ratio_discrete
 
 __all__ = [
     "CovariateModelSpec",
     "CovariateParams",
-    "fit_and_draw_covariate",
+    "covariate_family",
     "fit_and_draw_arrays",
     "sample_covariate",
-    "conditional_density",
     "log_conditional_density",
 ]
 
 COVARIATE_FAMILIES = ("normal_linear", "logistic")
+
+
+def covariate_family(kind: VariableKind) -> str:
+    """The covariate-model family for a column kind."""
+    return "logistic" if kind is VariableKind.BINARY else "normal_linear"
 
 
 @dataclass(frozen=True)
@@ -85,48 +84,12 @@ def _spec_design(spec: CovariateModelSpec, cols, n: int) -> np.ndarray:
     return design_from_arrays(spec.predictors, spec.intercept, cols, n)
 
 
-def fit_and_draw_covariate(spec, d, subjects: str, rng, beta0=None):
-    """Fit the covariate model and take one posterior draw.
-
-    subjects="all" uses every row of the completed dataset; "observed_only"
-    restricts to rows where the target was actually observed (the mask of the
-    underlying dataset, which completed views preserve).
-    """
-    if subjects not in ("all", "observed_only"):
-        raise ValueError("subjects must be 'all' or 'observed_only'")
-    target = d.column(spec.target)
-    cols = {v: d.column(v).values for v in spec.predictor_variables}
-    X = _spec_design(spec, cols, d.n)
-    y = target.values
-    if subjects == "observed_only":
-        keep = target.observed
-        X, y = X[keep], y[keep]
-    if np.any(np.isnan(X)) or np.any(np.isnan(y)):
-        raise FitError("covariate model fitted on incomplete data")
-    return fit_and_draw_arrays(spec, X, y, rng, beta0=beta0)
-
-
 def fit_and_draw_arrays(spec, X, y, rng, beta0=None):
-    """Array-level variant of fit_and_draw_covariate; returns (draw, fit)."""
-    if spec.family == "normal_linear":
-        fit = fit_linear(X, y)
-        beta, sigma2 = draw_linear_posterior(fit, rng)
-        return CovariateParams(beta=beta, sigma2=sigma2), fit
-    fit = fit_logistic(X, y, beta0=beta0)
-    if not fit.converged:
-        raise FitError(f"covariate model for {spec.target} did not converge (separation?)")
-    return CovariateParams(beta=draw_glm_posterior(fit, rng)), fit
-
-
-def _row_size(spec, row, size) -> tuple[int, bool]:
-    """(number of rows, whether inputs were vectors)."""
-    if size is not None:
-        return int(size), True
-    for v in spec.predictor_variables:
-        arr = np.asarray(row[v])
-        if arr.ndim:
-            return arr.shape[0], True
-    return 1, False
+    """Fit the covariate model to (X, y) and take one posterior draw; returns (draw, fit)."""
+    model = FAMILIES[spec.family]
+    fit = model.fit(X, y, beta0)
+    beta, sigma2 = model.posterior(fit, rng)
+    return CovariateParams(beta=beta, sigma2=sigma2), fit
 
 
 def _row_design(spec: CovariateModelSpec, row, size: int) -> np.ndarray:
@@ -134,36 +97,16 @@ def _row_design(spec: CovariateModelSpec, row, size: int) -> np.ndarray:
     return _spec_design(spec, cols, size)
 
 
-def sample_covariate(spec, params: CovariateParams, row, rng, size=None):
-    """Draw candidate target values given the other covariates.
+def sample_covariate(spec, params: CovariateParams, row, rng, size: int):
+    """Draw `size` target values given the other covariates.
 
-    `row` maps predictor names to scalars or equal-length arrays; scalar
-    inputs give a scalar draw unless `size` forces a vector.
+    `row` maps predictor names to arrays of length `size`.
     """
-    n, vector = _row_size(spec, row, size)
-    mu = _row_design(spec, row, n) @ params.beta
-    if spec.family == "normal_linear":
-        draws = mu.copy() if params.sigma2 == 0 else rng.normal(mu, np.sqrt(params.sigma2))
-    else:
-        draws = (rng.random(n) < expit(mu)).astype(float)
-    return draws if vector else float(draws[0])
+    mu = _row_design(spec, row, size) @ params.beta
+    return FAMILIES[spec.family].sample(params, mu, rng)
 
 
-def log_conditional_density(spec, params: CovariateParams, row, value, size=None):
-    """Log density (normal) or log mass (Bernoulli) of `value` given `row`."""
-    n, vector = _row_size(spec, row, size)
-    g = _row_design(spec, row, n) @ params.beta
-    value = np.asarray(value, dtype=float)
-    if spec.family == "normal_linear":
-        if params.sigma2 is None or params.sigma2 <= 0:
-            raise ValueError("normal covariate model needs sigma2 > 0")
-        resid = value - g
-        out = -0.5 * np.log(2.0 * np.pi * params.sigma2) - (resid * resid) / (2.0 * params.sigma2)
-    else:
-        out = value * log_expit(g) + (1.0 - value) * log_expit(-g)
-    return out if vector else float(out[0])
-
-
-def conditional_density(spec, params: CovariateParams, row, value, size=None):
-    out = log_conditional_density(spec, params, row, value, size=size)
-    return np.exp(out) if isinstance(out, np.ndarray) else float(np.exp(out))
+def log_conditional_density(spec, params: CovariateParams, row, value, size: int):
+    """Log mass of the 0/1 `value` under a logistic covariate model given `row`."""
+    g = _row_design(spec, row, size) @ params.beta
+    return log_ratio_discrete(value, g)

@@ -32,7 +32,6 @@ __all__ = [
     "format_values",
     "format_rows",
     "write_csv",
-    "completed_view",
     "missingness_order",
     "atomic_write_text",
 ]
@@ -143,10 +142,6 @@ class Dataset:
     def partial_covariates(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.role is VariableRole.PARTIAL_COVARIATE)
 
-    def values_map(self) -> dict[str, np.ndarray]:
-        """Copy of all column value arrays, keyed by name."""
-        return {c.name: c.values.copy() for c in self.columns}
-
     def is_complete(self) -> bool:
         return all(not np.any(np.isnan(c.values)) for c in self.columns)
 
@@ -159,6 +154,8 @@ class Dataset:
         for col in self.columns:
             if col.name in new_values:
                 vals = np.asarray(new_values[col.name], dtype=float)
+                if vals.shape != col.values.shape:
+                    raise DataError(f"column {col.name}: {vals.shape[0]} values for {self.n} rows")
                 same = vals[col.observed] == col.values[col.observed]
                 if not np.all(same):
                     raise DataError(f"column {col.name}: observed cells were modified")
@@ -293,31 +290,6 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def completed_view(d: Dataset, fill: Mapping[str, Sequence[float]]) -> Dataset:
-    """Dataset with every missing cell filled from `fill`; masks unchanged.
-
-    `fill` maps a column name to the values for that column's missing cells in
-    ascending row order, one value per missing cell.
-    """
-    for name in fill:
-        if not d.has_column(name):
-            raise DataError(f"fill references unknown column {name!r}")
-    cols = []
-    for col in d.columns:
-        miss = ~col.observed
-        n_miss = int(miss.sum())
-        supplied = np.asarray(fill.get(col.name, ()), dtype=float)
-        if supplied.shape[0] != n_miss:
-            raise DataError(
-                f"column {col.name}: fill supplies {supplied.shape[0]} values "
-                f"for {n_miss} missing cells"
-            )
-        values = col.values.copy()
-        values[miss] = supplied
-        cols.append(Column(col.name, col.kind, col.role, values, col.observed.copy()))
-    return Dataset(tuple(cols))
 
 
 def missingness_order(d: Dataset) -> list[str]:

@@ -31,36 +31,24 @@ from scipy.special import expit
 
 from .covariates import (
     CovariateModelSpec,
+    covariate_family,
     fit_and_draw_arrays,
     log_conditional_density,
     sample_covariate,
 )
-from .dataset import Column, Dataset, DataError, VariableKind, VariableRole, completed_view
+from .dataset import Column, Dataset, DataError, VariableKind, VariableRole
 from .dataset import missingness_order as _missingness_order
-from .fitters import (
-    FitError,
-    draw_cox_posterior,
-    draw_glm_posterior,
-    draw_linear_posterior,
-    fit_cox,
-    fit_linear,
-    fit_logistic,
-    nelson_aalen,
-)
+from .fitters import FitError, nelson_aalen
 from .formula import (
+    FormulaError,
     ModelFormula,
     Term,
     design_from_arrays,
+    response_arrays,
     term_column_name,
 )
 from .rng import stream, subsequence
-from .substantive import (
-    FAMILIES,
-    SubstantiveParams,
-    log_ratio_cox,
-    log_ratio_discrete,
-    log_ratio_normal,
-)
+from .substantive import FAMILIES, Family
 
 __all__ = [
     "DerivedColumn",
@@ -68,7 +56,6 @@ __all__ = [
     "Diagnostics",
     "ImputationResult",
     "EngineFailure",
-    "initialize",
     "run_fcs",
     "run_smcfcs",
     "jav_config",
@@ -106,7 +93,6 @@ class EngineConfig:
     derived_columns: tuple[DerivedColumn, ...] = ()
     cumhaz_column: str | None = None  # materialize the marginal cumulative hazard here
     promote_terms: tuple[Term, ...] = ()  # just-another-variable covariates
-    binary_sampler: str = "enumerate"  # "reject" exercises the rejection path instead
 
     def __post_init__(self):
         if self.method not in ("fcs", "smcfcs"):
@@ -115,15 +101,13 @@ class EngineConfig:
             raise ValueError("m must be >= 1")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.binary_sampler not in ("enumerate", "reject"):
-            raise ValueError("binary_sampler must be 'enumerate' or 'reject'")
         if self.method == "smcfcs":
             if self.substantive is None:
                 raise ValueError("smcfcs requires a substantive (family, formula)")
             family, formula = self.substantive
             if family not in FAMILIES:
                 raise ValueError(f"unknown substantive family {family!r}")
-            if (family == "cox") != formula.is_survival:
+            if FAMILIES[family].survival != formula.is_survival:
                 raise ValueError("substantive formula response does not match family")
             if self.promote_terms:
                 raise ValueError("promoted covariates are a chained-equations device")
@@ -235,8 +219,8 @@ def default_covariate_specs(
                         "chained equations with a survival outcome need a cumhaz_column"
                     )
                 preds.append(Term(((cumhaz_column, 1),)))
-        family = "logistic" if col.kind is VariableKind.BINARY else "normal_linear"
-        specs.append(CovariateModelSpec(target=col.name, family=family, predictors=tuple(preds)))
+        specs.append(CovariateModelSpec(target=col.name, family=covariate_family(col.kind),
+                                        predictors=tuple(preds)))
     return tuple(specs)
 
 
@@ -301,6 +285,8 @@ class _Context:
     masks: dict[str, np.ndarray]
     missing_idx: dict[str, np.ndarray]
     kinds: dict[str, VariableKind]
+    model: Family | None = None  # smcfcs: the outcome family
+    response: object = None  # smcfcs: model.prepare(response arrays), built once per run
 
 
 def _materialize_column(d: Dataset, name, values, observed, kind, role) -> Dataset:
@@ -333,32 +319,26 @@ def _augment_dataset(d: Dataset, config: EngineConfig) -> Dataset:
             cols.append(col)
         d = Dataset(tuple(cols))
         for t in config.promote_terms:
-            name = term_column_name(t)
-            base = {v: d.column(v).values for v in t.variables}
-            observed = np.ones(d.n, dtype=bool)
-            for v in t.variables:
-                observed &= d.column(v).observed
-            values = np.where(observed, t.evaluate(base), np.nan)
-            role = (
-                VariableRole.PARTIAL_COVARIATE
-                if not observed.all()
-                else VariableRole.COMPLETE_COVARIATE
-            )
-            d = _materialize_column(d, name, values, observed, VariableKind.CONTINUOUS, role)
+            d = _materialize_term(d, term_column_name(t), t)
     for dc in config.derived_columns:
         if d.has_column(dc.name):
             continue  # user supplied the derived column; its cells are kept
-        base = {v: d.column(v).values for v in dc.term.variables}
-        observed = np.ones(d.n, dtype=bool)
-        for v in dc.term.variables:
-            observed &= d.column(v).observed
-        values = np.where(observed, dc.term.evaluate(base), np.nan)
-        role = (
-            VariableRole.PARTIAL_COVARIATE if not observed.all()
-            else VariableRole.COMPLETE_COVARIATE
-        )
-        d = _materialize_column(d, dc.name, values, observed, VariableKind.CONTINUOUS, role)
+        d = _materialize_term(d, dc.name, dc.term)
     return d
+
+
+def _materialize_term(d: Dataset, name, term: Term) -> Dataset:
+    """Add a continuous column holding `term`, observed where all its variables are."""
+    observed = np.ones(d.n, dtype=bool)
+    for v in term.variables:
+        observed &= d.column(v).observed
+    values = np.where(observed, term.evaluate({v: d.column(v).values for v in term.variables}),
+                      np.nan)
+    role = (
+        VariableRole.PARTIAL_COVARIATE if not observed.all()
+        else VariableRole.COMPLETE_COVARIATE
+    )
+    return _materialize_column(d, name, values, observed, VariableKind.CONTINUOUS, role)
 
 
 def _outcome_derived_names(d: Dataset, config: EngineConfig) -> set[str]:
@@ -400,8 +380,7 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     outcome_derived = _outcome_derived_names(d, config)
     for name, spec in specs.items():
         col = d.column(name)
-        wants = "logistic" if col.kind is VariableKind.BINARY else "normal_linear"
-        if spec.family != wants:
+        if FAMILIES[spec.family].binary != (col.kind is VariableKind.BINARY):
             raise DataError(
                 f"covariate {name} is {col.kind.value}; spec family {spec.family} does not match"
             )
@@ -417,14 +396,17 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
                     f"outcome-derived column {v!r}"
                 )
 
+    model = response = None
     if config.method == "smcfcs":
-        _, formula = config.substantive
+        family, formula = config.substantive
         for v in formula.variables:
             if not d.has_column(v):
                 raise DataError(f"substantive formula references unknown column {v!r}")
-        resp = formula.response if not formula.is_survival else formula.response[0]
-        if not d.has_column(resp):
-            raise DataError(f"substantive response column {resp!r} not found")
+        model = FAMILIES[family]
+        try:  # DataError names an absent response column
+            response = model.prepare(*response_arrays(formula, d))
+        except FormulaError as exc:  # a response column with missing cells
+            raise DataError(f"substantive {exc}") from None
 
     masks = {c.name: c.observed.copy() for c in d.columns}
     missing_idx = {name: np.flatnonzero(~masks[name]) for name in sampled}
@@ -432,23 +414,12 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     return _Context(
         d=d, config=config, sampled=sampled, specs=specs,
         derived=config.derived_columns, masks=masks,
-        missing_idx=missing_idx, kinds=kinds,
+        missing_idx=missing_idx, kinds=kinds, model=model, response=response,
     )
 
 
 # ---------------------------------------------------------------------------
 # chain primitives
-
-def initialize(d: Dataset, rng) -> Dataset:
-    """Fill every missing cell with a random observed value of its column."""
-    fill = {}
-    for col in d.partial_covariates():
-        observed_values = col.values[col.observed]
-        if observed_values.size == 0:
-            raise EngineFailure(f"column {col.name} has no observed values")
-        fill[col.name] = rng.choice(observed_values, size=col.n_missing, replace=True)
-    return completed_view(d, fill)
-
 
 def _init_columns(ctx: _Context, rng) -> dict[str, np.ndarray]:
     cur = {c.name: c.values.copy() for c in ctx.d.columns}
@@ -482,51 +453,7 @@ def _spec_labels(spec: CovariateModelSpec) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# substantive-model pieces used by the compatible sampler
-
-def _substantive_design(formula: ModelFormula, cur, n) -> np.ndarray:
-    cols = {v: cur[v] for v in formula.variables}
-    return design_from_arrays(formula.terms, formula.intercept, cols, n)
-
-
-def _draw_substantive(family, formula, cur, n, rng, warm):
-    X = _substantive_design(formula, cur, n)
-    if family == "normal_linear":
-        fit = fit_linear(X, cur[formula.response])
-        beta, sigma2 = draw_linear_posterior(fit, rng)
-        if sigma2 <= 0:
-            raise FitError("degenerate residual variance in substantive draw")
-        return SubstantiveParams(family=family, beta=beta, sigma2=sigma2), fit.beta
-    if family == "logistic":
-        fit = fit_logistic(X, cur[formula.response], beta0=warm)
-        if not fit.converged:
-            raise FitError("substantive logistic fit did not converge")
-        return SubstantiveParams(family=family, beta=draw_glm_posterior(fit, rng)), fit.beta
-    time_name, event_name = formula.response
-    fit = fit_cox(X, cur[time_name], cur[event_name], beta0=warm)
-    beta, baseline = draw_cox_posterior(fit, X, cur[time_name], cur[event_name], rng)
-    return SubstantiveParams(family=family, beta=beta, baseline=baseline), fit.beta
-
-
-def _smc_log_ratio(family, formula, psi, cols, y_parts, n):
-    """Log acceptance ratio for the n candidate rows laid out in `cols`."""
-    X = design_from_arrays(formula.terms, formula.intercept, cols, n)
-    g = X @ psi.beta
-    if family == "normal_linear":
-        return log_ratio_normal(y_parts, g, psi.sigma2)
-    if family == "logistic":
-        return log_ratio_discrete(y_parts, g)
-    cumhaz, event = y_parts
-    return log_ratio_cox(cumhaz, event, g)
-
-
-def _smc_y_parts(family, formula, psi, cur, rows):
-    if family == "cox":
-        time_name, event_name = formula.response
-        t = cur[time_name][rows]
-        return psi.baseline(t), cur[event_name][rows]
-    return cur[formula.response][rows]
-
+# compatible sampler
 
 def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     """P(X_j = 1 | outcome, other covariates) for the rows in `rows`.
@@ -535,16 +462,18 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     density, computed in log space: weight(v) is the outcome model's
     acceptance ratio at X_j = v times the covariate model's mass at v.
     """
+    model = FAMILIES[family]
     needed = set(formula.variables) | set(spec.predictor_variables)
     base = {v: cur[v][rows] for v in needed if v != spec.target}
-    y_parts = _smc_y_parts(family, formula, psi, cur, rows)
+    y_parts = model.y_parts(formula, psi, cur, rows)
     size = rows.size
     log_w = []
     for v in (0.0, 1.0):
         cols = dict(base)
         cols[spec.target] = np.full(size, v)
-        log_ratio = _smc_log_ratio(family, formula, psi, cols, y_parts, size)
-        log_mass = log_conditional_density(spec, phi, base, np.full(size, v), size=size)
+        g = design_from_arrays(formula.terms, formula.intercept, cols, size) @ psi.beta
+        log_ratio = model.log_ratio(psi, y_parts, g)
+        log_mass = log_conditional_density(spec, phi, base, np.full(size, v), size)
         log_w.append(log_ratio + log_mass)
     return expit(log_w[1] - log_w[0])
 
@@ -559,9 +488,10 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
     keeps its first accepted candidate, which is equivalent to proposing one
     candidate at a time.
     """
+    model = FAMILIES[family]
     needed = set(formula.variables) | set(spec.predictor_variables)
     base = {v: cur[v][rows] for v in needed if v != spec.target}
-    y_parts = _smc_y_parts(family, formula, psi, cur, rows)
+    y_parts = model.y_parts(formula, psi, cur, rows)
     size = rows.size
 
     values = np.empty(size)
@@ -576,13 +506,11 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
         npend = pending.size
         wide = npend * batch
         sub = {v: np.repeat(arr[pending], batch) for v, arr in base.items()}
-        cand = sample_covariate(spec, phi, sub, rng, size=wide)
+        cand = sample_covariate(spec, phi, sub, rng, wide)
         sub[spec.target] = cand
-        if family == "cox":
-            y_sub = (np.repeat(y_parts[0][pending], batch), np.repeat(y_parts[1][pending], batch))
-        else:
-            y_sub = np.repeat(y_parts[pending], batch)
-        log_ratio = _smc_log_ratio(family, formula, psi, sub, y_sub, wide)
+        y_sub = tuple(np.repeat(part[pending], batch) for part in y_parts)
+        g = design_from_arrays(formula.terms, formula.intercept, sub, wide) @ psi.beta
+        log_ratio = model.log_ratio(psi, y_sub, g)
         proposals += wide
         attempts += batch
         ratio = np.exp(np.minimum(log_ratio, 0.0))
@@ -626,16 +554,19 @@ def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
         miss = ctx.missing_idx[name]
         if miss.size:
             row = {v: cur[v][miss] for v in spec.predictor_variables}
-            cur[name][miss] = sample_covariate(spec, phi, row, rng, size=miss.size)
+            cur[name][miss] = sample_covariate(spec, phi, row, rng, miss.size)
     _recompute_derived(ctx, cur)
 
 
 def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     family, formula = ctx.config.substantive
+    model, response = ctx.model, ctx.response
     for name in ctx.sampled:
-        psi, psi_mle = _draw_substantive(family, formula, cur, ctx.d.n, rng,
-                                         warm.get("_psi"))
-        warm["_psi"] = psi_mle
+        X = design_from_arrays(formula.terms, formula.intercept,
+                               {v: cur[v] for v in formula.variables}, ctx.d.n)
+        fit = model.fit(X, response, warm.get("_psi"))
+        psi = model.draw(fit, X, response, rng)
+        warm["_psi"] = fit.beta
         diag.record_trace(imp, sweep, f"psi[{name}]", formula.labels(), psi.beta)
         if psi.sigma2 is not None:
             diag.record_trace(imp, sweep, f"psi[{name}]", ["sigma2"], [psi.sigma2])
@@ -647,7 +578,7 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
         miss = ctx.missing_idx[name]
         if not miss.size:
             continue
-        if ctx.kinds[name] is VariableKind.BINARY and ctx.config.binary_sampler == "enumerate":
+        if ctx.kinds[name] is VariableKind.BINARY:
             p1 = smc_binary_probs(family, formula, psi, spec, phi, cur, miss)
             cur[name][miss] = (rng.random(miss.size) < p1).astype(float)
             diag.record_sampling(name, miss.size, miss.size, 0)

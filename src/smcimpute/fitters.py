@@ -10,7 +10,7 @@ predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,11 +21,13 @@ __all__ = [
     "LinearFit",
     "GlmFit",
     "CoxFit",
+    "CoxLayout",
     "StepCumHazard",
     "fit_linear",
     "draw_linear_posterior",
     "fit_logistic",
     "draw_glm_posterior",
+    "cox_layout",
     "fit_cox",
     "breslow_baseline",
     "nelson_aalen",
@@ -241,44 +243,54 @@ class StepCumHazard:
 # ---------------------------------------------------------------------------
 # Cox proportional hazards (Breslow ties)
 
-# the sorted layout depends only on (time, event), which are fixed across the
-# many refits an imputation run performs; a tiny byte-keyed memo avoids
-# re-sorting per fit
-_PREPARE_CACHE: dict = {}
+@dataclass(frozen=True)
+class CoxLayout:
+    """Risk-set layout of one (time, event) response, sorted by time once.
+
+    It depends only on time and event, so an imputation run builds it once
+    and every refit of the outcome model reuses it.
+    """
+
+    time: np.ndarray
+    event: np.ndarray
+    order: np.ndarray  # argsort of time
+    ds: np.ndarray  # event indicator in time order, as bool
+    ev_times: np.ndarray  # distinct event times, ascending
+    risk_start: np.ndarray  # first at-risk row (time order) per distinct event time
+    d_count: np.ndarray  # events per distinct event time
 
 
-def _cox_prepare(X: np.ndarray, time: np.ndarray, event: np.ndarray):
-    key = (time.tobytes(), event.tobytes())
-    layout = _PREPARE_CACHE.get(key)
-    if layout is None:
-        order = np.argsort(time, kind="stable")
-        ts = time[order]
-        ds = event[order].astype(bool)
-        ev_times = np.unique(ts[ds])
-        # index of the first at-risk row (sorted ascending) per distinct event time
-        risk_start = np.searchsorted(ts, ev_times, side="left")
-        d_count = np.bincount(
-            np.searchsorted(ev_times, ts[ds]), minlength=ev_times.size
-        ).astype(float)
-        if len(_PREPARE_CACHE) >= 8:
-            _PREPARE_CACHE.clear()
-        layout = (order, ts, ds, ev_times, risk_start, d_count)
-        _PREPARE_CACHE[key] = layout
-    order, ts, ds, ev_times, risk_start, d_count = layout
-    return ts, X[order], ds, ev_times, risk_start, d_count
-
-
-def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndarray):
-    """Breslow-tie partial log-likelihood, score, and observed information."""
-    X = np.asarray(X, dtype=float)
+def cox_layout(time, event) -> CoxLayout:
+    """Sort the response by time and index the risk set of each event time."""
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=float)
-    ts, xs, ds, ev_times, risk_start, d_count = _cox_prepare(X, time, event)
-    n, k = xs.shape
-    eta = xs @ beta
-    eta = np.clip(eta, -700, 700)  # keeps exp finite for wild trial steps
+    order = np.argsort(time, kind="stable")
+    ts = time[order]
+    ds = event[order].astype(bool)
+    ev_times = np.unique(ts[ds])
+    risk_start = np.searchsorted(ts, ev_times, side="left")
+    d_count = np.bincount(
+        np.searchsorted(ev_times, ts[ds]), minlength=ev_times.size
+    ).astype(float)
+    return CoxLayout(time, event, order, ds, ev_times, risk_start, d_count)
+
+
+def _risk_set_sums(xs, beta):
+    """Linear predictor, weights exp(eta) and the reverse cumulative sum s0 of
+    the weights, for rows in time order."""
+    eta = np.clip(xs @ beta, -700, 700)  # keeps exp finite for wild trial steps
     w = np.exp(eta)
-    s0 = np.cumsum(w[::-1])[::-1]
+    return eta, w, np.cumsum(w[::-1])[::-1]
+
+
+def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndarray,
+               layout: CoxLayout | None = None):
+    """Breslow-tie partial log-likelihood, score, and observed information."""
+    if layout is None:
+        layout = cox_layout(time, event)
+    xs = np.asarray(X, dtype=float)[layout.order]
+    ds, risk_start, d_count = layout.ds, layout.risk_start, layout.d_count
+    eta, w, s0 = _risk_set_sums(xs, beta)
     s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1]
     s2 = np.cumsum((w[:, None, None] * (xs[:, :, None] * xs[:, None, :]))[::-1], axis=0)[::-1]
 
@@ -296,11 +308,9 @@ def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndar
     return ll, score, info
 
 
-def _cox_loglik_only(ts, xs, ds, risk_start, d_count, beta):
-    eta = np.clip(xs @ beta, -700, 700)
-    w = np.exp(eta)
-    s0 = np.cumsum(w[::-1])[::-1]
-    return float(eta[ds].sum() - (d_count * np.log(s0[risk_start])).sum())
+def _cox_loglik_only(layout: CoxLayout, xs, beta):
+    eta, _, s0 = _risk_set_sums(xs, beta)
+    return float(eta[layout.ds].sum() - (layout.d_count * np.log(s0[layout.risk_start])).sum())
 
 
 @dataclass(frozen=True)
@@ -308,6 +318,7 @@ class CoxFit:
     beta: np.ndarray
     covariance: np.ndarray  # inverse observed information
     baseline: StepCumHazard
+    layout: CoxLayout | None = field(default=None, repr=False, compare=False)
 
     def coef_variances(self) -> np.ndarray:
         return np.diag(self.covariance)
@@ -318,8 +329,12 @@ def fit_cox(
     time: np.ndarray,
     event: np.ndarray,
     beta0: np.ndarray | None = None,
+    layout: CoxLayout | None = None,
 ) -> CoxFit:
-    """Cox partial-likelihood MLE with the Breslow baseline at the solution."""
+    """Cox partial-likelihood MLE with the Breslow baseline at the solution.
+
+    `layout` is cox_layout(time, event), built here when not given.
+    """
     X = np.asarray(X, dtype=float)
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=float)
@@ -331,9 +346,11 @@ def fit_cox(
     scales = _coef_scales(X)
     if np.any(X.std(axis=0) == 0):
         raise FitError("constant covariate column in Cox design")
-    ts, xs, ds, ev_times, risk_start, d_count = _cox_prepare(X, time, event)
+    if layout is None:
+        layout = cox_layout(time, event)
+    xs = X[layout.order]
     beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    ll, score, info = cox_loglik(X, time, event, beta)
+    ll, score, info = cox_loglik(X, time, event, beta, layout=layout)
     converged = False
     for _ in range(MAX_ITER):
         try:
@@ -343,12 +360,12 @@ def fit_cox(
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            ll_new = _cox_loglik_only(ts, xs, ds, risk_start, d_count, candidate)
+            ll_new = _cox_loglik_only(layout, xs, candidate)
             if ll_new >= ll - HALVING_TOL * max(1.0, abs(ll)):
                 break
             scale *= 0.5
         beta = candidate
-        ll, score, info = cox_loglik(X, time, event, beta)
+        ll, score, info = cox_loglik(X, time, event, beta, layout=layout)
         if _diverged(beta, scales):
             raise FitError("monotone partial likelihood (diverging coefficients)")
         if np.linalg.norm(score) < SCORE_TOL:
@@ -361,26 +378,23 @@ def fit_cox(
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FitError("Cox information matrix is singular at the MLE") from exc
     cov = 0.5 * (cov + cov.T)
-    baseline = breslow_baseline(X, time, event, beta)
-    return CoxFit(beta=beta, covariance=cov, baseline=baseline)
+    baseline = breslow_baseline(X, time, event, beta, layout=layout)
+    return CoxFit(beta=beta, covariance=cov, baseline=baseline, layout=layout)
 
 
-def breslow_baseline(X, time, event, beta) -> StepCumHazard:
+def breslow_baseline(X, time, event, beta, layout: CoxLayout | None = None) -> StepCumHazard:
     """Baseline cumulative hazard: jump d_t / sum_{risk set} exp(x'beta) at each event time."""
-    X = np.asarray(X, dtype=float)
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    ts, xs, ds, ev_times, risk_start, d_count = _cox_prepare(X, time, event)
-    if ev_times.size == 0:
+    if layout is None:
+        layout = cox_layout(time, event)
+    if layout.ev_times.size == 0:
         return StepCumHazard(knots=np.empty(0), cumvals=np.empty(0))
-    w = np.exp(np.clip(xs @ beta, -700, 700))
-    s0 = np.cumsum(w[::-1])[::-1]
-    denom = s0[risk_start]
+    xs = np.asarray(X, dtype=float)[layout.order]
+    _, _, s0 = _risk_set_sums(xs, np.asarray(beta, dtype=float))
+    denom = s0[layout.risk_start]
     if np.any(denom <= 0):
         raise FitError("empty risk set at an event time")
-    jumps = d_count / denom
-    return StepCumHazard(knots=ev_times, cumvals=np.cumsum(jumps))
+    jumps = layout.d_count / denom
+    return StepCumHazard(knots=layout.ev_times, cumvals=np.cumsum(jumps))
 
 
 def nelson_aalen(time, event) -> StepCumHazard:
@@ -396,8 +410,9 @@ def draw_cox_posterior(fit: CoxFit, X, time, event, rng) -> tuple[np.ndarray, St
     """beta* ~ N(beta, covariance); baseline re-estimated by Breslow at beta*.
 
     No posterior uncertainty is attached to the baseline itself beyond its
-    re-evaluation at the drawn coefficients.
+    re-evaluation at the drawn coefficients.  The re-estimate reuses the
+    fit's risk-set layout, so time and event must be the data that was fitted.
     """
     beta_star = multivariate_normal_draw(fit.beta, fit.covariance, rng)
-    baseline_star = breslow_baseline(X, time, event, beta_star)
+    baseline_star = breslow_baseline(X, time, event, beta_star, layout=fit.layout)
     return beta_star, baseline_star

@@ -74,17 +74,6 @@ class Term:
         return out
 
 
-def term(*factors) -> Term:
-    """Shorthand constructor: term("x"), term(("x", 2)), term("x1", "x2")."""
-    fs = []
-    for f in factors:
-        if isinstance(f, str):
-            fs.append((f, 1))
-        else:
-            fs.append((f[0], int(f[1])))
-    return Term(tuple(fs))
-
-
 @dataclass(frozen=True)
 class ModelFormula:
     response: str | tuple[str, str]  # outcome name, or (time, event) pair
@@ -289,14 +278,9 @@ def design_matrix(f: ModelFormula, d) -> np.ndarray:
     return design_from_arrays(f.terms, f.intercept, cols, d.n)
 
 
-def response_arrays(f: ModelFormula, d):
-    """Response data: y for a plain outcome, (time, event) for survival."""
-    if f.is_survival:
-        time_name, event_name = f.response
-        t = d.column(time_name).values
-        e = d.column(event_name).values
-        _check_complete({time_name: t, event_name: e}, (time_name, event_name), "response")
-        return t, e
-    y = d.column(f.response).values
-    _check_complete({f.response: y}, (f.response,), "response")
-    return y
+def response_arrays(f: ModelFormula, d) -> tuple[np.ndarray, ...]:
+    """Response data: (y,) for a plain outcome, (time, event) for survival."""
+    names = f.response if f.is_survival else (f.response,)
+    cols = {name: d.column(name).values for name in names}
+    _check_complete(cols, names, "response")
+    return tuple(cols[name] for name in names)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, ndtri, stdtrit
+from scipy.special import expit
 
 from .dataset import Column, Dataset, VariableKind, VariableRole, DataError
 from .engines import (
@@ -35,11 +35,12 @@ from .engines import (
     run_fcs,
     run_smcfcs,
 )
-from .covariates import CovariateModelSpec
-from .fitters import FitError, fit_cox, fit_linear, fit_logistic
-from .formula import Term, design_from_arrays, parse_formula
+from .covariates import CovariateModelSpec, covariate_family
+from .fitters import FitError
+from .formula import Term, design_from_arrays, parse_formula, response_arrays
 from .pooling import PoolError, fit_each, pool
 from .rng import stream, subsequence
+from .substantive import FAMILIES
 
 __all__ = [
     "ScenarioConfig",
@@ -350,11 +351,8 @@ def _fcs_config(cfg: ScenarioConfig, d: Dataset) -> EngineConfig:
         specs = (CovariateModelSpec("x", "normal_linear", predictors=(Term((("y", 1),)),)),)
         return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
     if cfg.dgp == "interaction":
-        x1_family = (
-            "logistic" if d.column("x1").kind is VariableKind.BINARY else "normal_linear"
-        )
         specs = (
-            CovariateModelSpec("x1", x1_family,
+            CovariateModelSpec("x1", covariate_family(d.column("x1").kind),
                                predictors=(Term((("y", 1),)), Term((("x2", 1),)),
                                            Term((("y", 1), ("x2", 1))))),
             CovariateModelSpec("x2", "normal_linear",
@@ -380,25 +378,10 @@ def _complete_case(family, formula, d: Dataset, level=0.95):
         keep &= col.observed
     cols = {v: d.column(v).values[keep] for v in formula.variables}
     X = design_from_arrays(formula.terms, formula.intercept, cols, int(keep.sum()))
-    alpha = 0.5 * (1.0 + level)
-    if family == "normal_linear":
-        y = d.column(formula.response).values[keep]
-        fit = fit_linear(X, y)
-        se = np.sqrt(fit.coef_variances())
-        q = stdtrit(fit.n - fit.k, alpha)
-        return fit.beta, fit.beta - q * se, fit.beta + q * se
-    if family == "logistic":
-        y = d.column(formula.response).values[keep]
-        fit = fit_logistic(X, y)
-        if not fit.converged:
-            raise FitError("complete-case logistic fit did not converge")
-        se = np.sqrt(fit.coef_variances())
-        q = ndtri(alpha)
-        return fit.beta, fit.beta - q * se, fit.beta + q * se
-    time_name, event_name = formula.response
-    fit = fit_cox(X, d.column(time_name).values[keep], d.column(event_name).values[keep])
+    model = FAMILIES[family]
+    fit = model.fit(X, model.prepare(*(r[keep] for r in response_arrays(formula, d))))
     se = np.sqrt(fit.coef_variances())
-    q = ndtri(alpha)
+    q = model.quantile(fit, 0.5 * (1.0 + level))
     return fit.beta, fit.beta - q * se, fit.beta + q * se
 
 

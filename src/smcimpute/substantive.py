@@ -1,9 +1,9 @@
-"""Outcome-model families: acceptance ratios, bounds, and posterior draws.
+"""Model families: one object per family, plus the acceptance ratios.
 
 The rejection sampler that imputes a covariate draws candidates from the
 covariate's conditional model and accepts with probability equal to the
 outcome density at the candidate divided by its upper bound over the
-candidate.  Each family below supplies that ratio:
+candidate.  Each outcome family supplies that ratio:
 
   normal linear   exp(-(y - g)^2 / (2 sigma2))                bound 1/sqrt(2 pi sigma2)
   discrete (0/1)  P(Y = y | g)                                bound 1 (a probability)
@@ -13,6 +13,15 @@ candidate.  Each family below supplies that ratio:
 
 with g the linear predictor at the candidate.  All ratios are available in
 log form for exact enumeration of binary covariates.
+
+A family object (registered in FAMILIES under its public name) owns
+everything that differs between families: preparing the response once per
+run, the warm-started fit, the posterior draw, the response parts of a set
+of rows, the log acceptance ratio, and the reference quantile of a
+complete-data interval.  The normal linear and logistic objects also serve
+as covariate models, which add a posterior draw of the bare coefficients
+and direct sampling.  Methods call the fitters through this module's
+globals, so a wrapper rebound there sees every call.
 """
 
 from __future__ import annotations
@@ -20,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit
+from scipy.special import expit, log_expit, ndtri, stdtrit
 
 from .fitters import (
     FitError,
     StepCumHazard,
+    cox_layout,
     draw_cox_posterior,
     draw_glm_posterior,
     draw_linear_posterior,
@@ -36,22 +46,16 @@ from .formula import FormulaError, ModelFormula, design_matrix, response_arrays
 
 __all__ = [
     "FAMILIES",
+    "Family",
+    "NormalLinear",
+    "Logistic",
+    "Cox",
     "SubstantiveParams",
-    "acceptance_ratio_normal",
-    "acceptance_ratio_discrete",
-    "acceptance_ratio_cox_censored",
-    "acceptance_ratio_cox_event",
     "log_ratio_normal",
     "log_ratio_discrete",
     "log_ratio_cox",
-    "draw_substantive_posterior",
-    "fit_substantive",
     "substantive_estimates",
 ]
-
-FAMILIES = ("normal_linear", "logistic", "cox")
-
-_EVENT_RATIO_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,7 @@ class SubstantiveParams:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "normal_linear":
-            if self.sigma2 is None or self.sigma2 < 0:
-                raise ValueError("normal_linear needs sigma2 >= 0")
-        if self.family == "cox" and self.baseline is None:
-            raise ValueError("cox needs a baseline cumulative hazard")
+        FAMILIES[self.family].validate(self)
 
 
 # -- log ratios (vectorized over g) -----------------------------------------
@@ -108,75 +108,141 @@ def log_ratio_cox(cumhaz, event, g):
     return np.where(event == 1.0, event_part, censored_part)
 
 
-# -- spec-level single-observation ratios ------------------------------------
+# -- families ----------------------------------------------------------------
 
-def _linear_predictor(design_row, beta):
-    return float(np.asarray(design_row, dtype=float) @ np.asarray(beta, dtype=float))
+class Family:
+    """What a model family supplies.
+
+    `response` is what `prepare` returns for the response arrays of
+    formula.response_arrays; `parts` is the tuple `y_parts` returns.
+    """
+
+    name: str
+    survival = False  # the response is (time, event)
+    binary = False  # the response is 0/1
+
+    def validate(self, params: SubstantiveParams) -> None:
+        """Raise ValueError if `params` lacks a family extra."""
+
+    def prepare(self, y):
+        """The response in the form `fit` and `draw` take; built once per run."""
+        return y
+
+    def fit(self, X, response, warm=None):
+        """MLE, warm-started at `warm` where the fitter iterates; FitError on failure."""
+        raise NotImplementedError
+
+    def draw(self, fit, X, response, rng) -> SubstantiveParams:
+        """One draw of the outcome-model parameters from their posterior."""
+        raise NotImplementedError
+
+    def y_parts(self, formula: ModelFormula, psi: SubstantiveParams, cols, rows) -> tuple:
+        """The response quantities the acceptance ratio needs, for `rows`."""
+        return (cols[formula.response][rows],)
+
+    def log_ratio(self, psi: SubstantiveParams, parts: tuple, g):
+        """Log acceptance ratio at linear predictor `g`."""
+        raise NotImplementedError
+
+    def quantile(self, fit, alpha):
+        """Reference quantile at `alpha` for an interval from one complete-data fit."""
+        return ndtri(alpha)
 
 
-def acceptance_ratio_normal(y, design_row, params: SubstantiveParams) -> float:
-    g = _linear_predictor(design_row, params.beta)
-    return float(np.exp(log_ratio_normal(y, g, params.sigma2)))
+class NormalLinear(Family):
+    name = "normal_linear"
+
+    def validate(self, params):
+        if params.sigma2 is None or params.sigma2 < 0:
+            raise ValueError("normal_linear needs sigma2 >= 0")
+
+    def fit(self, X, response, warm=None):
+        return fit_linear(X, response)
+
+    def posterior(self, fit, rng):
+        """(beta, sigma2) drawn from the posterior; sigma2 is 0 after a perfect fit."""
+        return draw_linear_posterior(fit, rng)
+
+    def draw(self, fit, X, response, rng):
+        beta, sigma2 = self.posterior(fit, rng)
+        # the acceptance ratio divides by sigma2; as a covariate model a zero
+        # variance is fine and sampling returns the mean
+        if sigma2 <= 0:
+            raise FitError("degenerate residual variance in substantive draw")
+        return SubstantiveParams(family=self.name, beta=beta, sigma2=sigma2)
+
+    def log_ratio(self, psi, parts, g):
+        return log_ratio_normal(*parts, g, psi.sigma2)
+
+    def quantile(self, fit, alpha):
+        return stdtrit(fit.n - fit.k, alpha)
+
+    def sample(self, params, mu, rng):
+        """Covariate values drawn given their linear predictor `mu`."""
+        return mu.copy() if params.sigma2 == 0 else rng.normal(mu, np.sqrt(params.sigma2))
 
 
-def acceptance_ratio_discrete(y, design_row, params: SubstantiveParams) -> float:
-    if y not in (0, 1):
-        raise ValueError("discrete outcome must be 0 or 1")
-    g = _linear_predictor(design_row, params.beta)
-    return float(np.exp(log_ratio_discrete(y, g)))
+class Logistic(Family):
+    name = "logistic"
+    binary = True
 
-
-def acceptance_ratio_cox_censored(t, design_row, params: SubstantiveParams) -> float:
-    g = _linear_predictor(design_row, params.beta)
-    cumhaz = float(params.baseline(t))
-    return float(np.exp(log_ratio_cox(cumhaz, 0.0, g)))
-
-
-def acceptance_ratio_cox_event(t, design_row, params: SubstantiveParams) -> float:
-    g = _linear_predictor(design_row, params.beta)
-    cumhaz = float(params.baseline(t))
-    if cumhaz <= 0.0:
-        raise ValueError("event observed at zero cumulative hazard")
-    value = float(np.exp(log_ratio_cox(cumhaz, 1.0, g)))
-    assert value <= 1.0 + _EVENT_RATIO_SLACK
-    return value
-
-
-# -- fitting and posterior draws ---------------------------------------------
-
-def fit_substantive(family: str, formula: ModelFormula, d, beta0=None):
-    """MLE of the outcome model on a completed dataset."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if (family == "cox") != formula.is_survival:
-        raise FormulaError("formula response does not match the outcome family")
-    X = design_matrix(formula, d)
-    if family == "normal_linear":
-        return fit_linear(X, response_arrays(formula, d))
-    if family == "logistic":
-        fit = fit_logistic(X, response_arrays(formula, d), beta0=beta0)
+    def fit(self, X, response, warm=None):
+        fit = fit_logistic(X, response, beta0=warm)
         if not fit.converged:
-            raise FitError("logistic substantive fit did not converge")
+            raise FitError("logistic fit did not converge (separation?)")
         return fit
-    time, event = response_arrays(formula, d)
-    return fit_cox(X, time, event, beta0=beta0)
+
+    def posterior(self, fit, rng):
+        return draw_glm_posterior(fit, rng), None
+
+    def draw(self, fit, X, response, rng):
+        return SubstantiveParams(family=self.name, beta=draw_glm_posterior(fit, rng))
+
+    def log_ratio(self, psi, parts, g):
+        return log_ratio_discrete(*parts, g)
+
+    def sample(self, params, mu, rng):
+        return (rng.random(mu.shape[0]) < expit(mu)).astype(float)
 
 
-def draw_substantive_posterior(family: str, formula: ModelFormula, d, rng) -> SubstantiveParams:
-    """Fit the outcome model to completed data and draw once from its posterior."""
-    fit = fit_substantive(family, formula, d)
-    if family == "normal_linear":
-        beta, sigma2 = draw_linear_posterior(fit, rng)
-        return SubstantiveParams(family=family, beta=beta, sigma2=sigma2)
-    if family == "logistic":
-        return SubstantiveParams(family=family, beta=draw_glm_posterior(fit, rng))
-    X = design_matrix(formula, d)
-    time, event = response_arrays(formula, d)
-    beta, baseline = draw_cox_posterior(fit, X, time, event, rng)
-    return SubstantiveParams(family=family, beta=beta, baseline=baseline)
+class Cox(Family):
+    """Proportional hazards; the prepared response is the risk-set layout."""
+
+    name = "cox"
+    survival = True
+
+    def validate(self, params):
+        if params.baseline is None:
+            raise ValueError("cox needs a baseline cumulative hazard")
+
+    def prepare(self, time, event):
+        return cox_layout(time, event)
+
+    def fit(self, X, response, warm=None):
+        return fit_cox(X, response.time, response.event, beta0=warm, layout=response)
+
+    def draw(self, fit, X, response, rng):
+        beta, baseline = draw_cox_posterior(fit, X, response.time, response.event, rng)
+        return SubstantiveParams(family=self.name, beta=beta, baseline=baseline)
+
+    def y_parts(self, formula, psi, cols, rows):
+        time_name, event_name = formula.response
+        return psi.baseline(cols[time_name][rows]), cols[event_name][rows]
+
+    def log_ratio(self, psi, parts, g):
+        return log_ratio_cox(*parts, g)
+
+
+FAMILIES = {family.name: family for family in (NormalLinear(), Logistic(), Cox())}
 
 
 def substantive_estimates(family: str, formula: ModelFormula, d):
     """(estimate vector, squared-standard-error vector) of one completed-data fit."""
-    fit = fit_substantive(family, formula, d)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    model = FAMILIES[family]
+    if model.survival != formula.is_survival:
+        raise FormulaError("formula response does not match the outcome family")
+    X = design_matrix(formula, d)
+    fit = model.fit(X, model.prepare(*response_arrays(formula, d)))
     return fit.beta.copy(), fit.coef_variances().copy()

@@ -155,6 +155,44 @@ def test_simulate_scenario_json_file(tmp_path):
     assert {r["parameter"] for r in rows} == {"(intercept)", "x", "x^2"}
 
 
+@pytest.mark.parametrize("level", ["1.5", "nan", "1", "0", "-0.2"])
+def test_analyze_level_outside_unit_interval_is_usage_error(tmp_path, capsys, level):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n1,0.0,1.0\n1,1.0,2.5\n1,2.0,2.9\n"
+                    "2,0.0,1.1\n2,1.0,2.4\n2,2.0,3.2\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    out = tmp_path / "pooled.csv"
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                "--smodel", "y ~ x", "--level", level, "--out", out])
+    assert code == 2
+    assert "--level: must be strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_zero_reps_is_usage_error(tmp_path, capsys):
+    code = run(["simulate", "--scenario", "quad-normal-mcar", "--reps", 0,
+                "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert "--reps: must be >= 1" in capsys.readouterr().err
+
+
+def test_simulate_scenario_json_array_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('["quadratic", "normal"]')
+    code = run(["simulate", "--scenario", cfg, "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert "--scenario: JSON must be an object" in capsys.readouterr().err
+
+
+def test_impute_zero_iterations_names_the_iter_flag(quad_files, capsys):
+    tmp, data, schema = quad_files
+    argv = impute_args(data, schema, tmp / "o.csv")
+    argv[argv.index("--iter") + 1] = 0
+    assert run(argv) == 2
+    assert "--iter: must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tail, bad_row, cells", [
     ("\n", 5, 0),  # trailing blank line
     ("2,0.5\n", 5, 2),  # short row

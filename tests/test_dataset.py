@@ -11,7 +11,6 @@ from smcimpute.dataset import (
     VariableKind,
     VariableRole,
     atomic_write_text,
-    completed_view,
     missingness_order,
     read_csv,
     write_csv,
@@ -188,15 +187,18 @@ def test_atomic_write_text_joins_chunks(tmp_path):
     assert target.read_text() == "whole\n"
 
 
+# a completed view is Dataset.with_values, as the engines build their results
+
+
 def test_completed_view_no_missing_identity():
     d = make_dataset([("a", C, PART, [1.0, 2.0], [True, True])])
-    v = completed_view(d, {})
+    v = d.with_values({})
     assert np.array_equal(v.column("a").values, [1.0, 2.0])
 
 
 def test_completed_view_fills_and_keeps_mask():
     d = make_dataset([("a", C, PART, [1.0, np.nan], [True, False])])
-    v = completed_view(d, {"a": [3.2]})
+    v = d.with_values({"a": [1.0, 3.2]})
     assert v.column("a").values[1] == 3.2
     assert not v.column("a").observed[1]
     assert v.is_complete()
@@ -205,9 +207,9 @@ def test_completed_view_fills_and_keeps_mask():
 def test_completed_view_shape_mismatch():
     d = make_dataset([("a", C, PART, [1.0, np.nan], [True, False])])
     with pytest.raises(DataError):
-        completed_view(d, {})
+        d.with_values({"a": [1.0]})
     with pytest.raises(DataError):
-        completed_view(d, {"a": [1.0, 2.0]})
+        d.with_values({"a": [1.0, 2.0, 3.0]})
 
 
 def test_missingness_order_sorts_by_missing_count():

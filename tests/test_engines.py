@@ -16,7 +16,6 @@ from smcimpute.engines import (
     EngineConfig,
     EngineFailure,
     default_covariate_specs,
-    initialize,
     jav_analysis_formula,
     jav_config,
     run_fcs,
@@ -70,16 +69,24 @@ def smcfcs_quadratic_config(**kw):
 # ---------------------------------------------------------------------------
 # initialization
 
+def initialize(d, rng):
+    """The columns a chain starts from, as both engines initialize them."""
+    from smcimpute.engines import _build_context, _init_columns
+
+    config = EngineConfig(method="fcs", covariate_specs=default_covariate_specs(d, "fcs"))
+    return _init_columns(_build_context(d, config), rng)
+
+
 def test_initialize_identity_when_complete():
     d = dataset([("x", C, PART, [1.0, 2.0], [True, True])])
     out = initialize(d, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.column("x").values, [1.0, 2.0])
+    np.testing.assert_array_equal(out["x"], [1.0, 2.0])
 
 
 def test_initialize_constant_observed_values():
     d = dataset([("x", C, PART, [1.0, 1.0, 1.0, np.nan], [True, True, True, False])])
     out = initialize(d, np.random.default_rng(0))
-    assert out.column("x").values[3] == 1.0
+    assert out["x"][3] == 1.0
 
 
 def test_initialize_draws_from_observed_multiset():
@@ -87,7 +94,8 @@ def test_initialize_draws_from_observed_multiset():
     obs = [True] * 3 + [False] * 40
     d = dataset([("x", C, PART, vals, obs)])
     out = initialize(d, np.random.default_rng(1))
-    assert set(out.column("x").values[3:]) <= {1.5, 2.5, 9.0}
+    np.testing.assert_array_equal(out["x"][:3], [1.5, 2.5, 9.0])
+    assert set(out["x"][3:]) <= {1.5, 2.5, 9.0}
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +243,6 @@ def test_binary_rejection_matches_enumeration_distribution():
     assert chisquare(observed, expected).pvalue > 0.001
 
 
-def test_engine_binary_sampler_modes_agree_in_distribution():
-    rng = np.random.default_rng(9)
-    n = 400
-    x = (rng.random(n) < 0.4).astype(float)
-    y = (rng.random(n) < expit(0.3 + 1.1 * x)).astype(float)
-    obs = rng.random(n) < 0.5
-    d = dataset([
-        ("x", B, PART, np.where(obs, x, np.nan), obs),
-        ("y", B, OUT, y, np.ones(n)),
-    ])
-    spec = CovariateModelSpec("x", "logistic", predictors=())
-    base = dict(m=8, iterations=4, seed=21,
-                substantive=("logistic", parse_formula("y ~ x")),
-                covariate_specs=(spec,))
-    r_enum = run_smcfcs(d, EngineConfig(method="smcfcs", binary_sampler="enumerate", **base))
-    r_rej = run_smcfcs(d, EngineConfig(method="smcfcs", binary_sampler="reject", **base))
-    # pooled imputed-one frequencies agree within binomial noise
-    take = lambda r: np.concatenate(
-        [imp.column("x").values[~obs] for imp in r.datasets]
-    )
-    a, b = take(r_enum), take(r_rej)
-    diff = abs(a.mean() - b.mean())
-    assert diff < 4.0 * np.sqrt(0.25 * (1 / a.size + 1 / b.size))
-
-
 def test_smc_reject_continuous_samples_conjugate_conditional():
     # linear outcome + normal proposal: the target is a known normal density
     formula = parse_formula("y ~ x")
@@ -312,6 +295,16 @@ def test_smcfcs_rejects_outcome_predictors():
             "x", "normal_linear", predictors=(Term((("y", 1),)),)),),
     )
     with pytest.raises(DataError, match="outcome-derived"):
+        run_smcfcs(d, cfg)
+
+
+def test_smcfcs_rejects_a_response_with_missing_cells():
+    # the outcome model's response is prepared once per run, so it must be observed
+    d = quadratic_data(seed=10)
+    cfg = smcfcs_quadratic_config(substantive=("normal_linear", parse_formula("x ~ y")),
+                                  covariate_specs=(CovariateModelSpec("x", "normal_linear",
+                                                                      predictors=()),))
+    with pytest.raises(DataError, match="column x has missing cells"):
         run_smcfcs(d, cfg)
 
 
@@ -462,3 +455,33 @@ def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
     assert {k[:2] for k in keys} == {(imp, s) for imp in (1, 2) for s in range(1, 5)}
     n_miss = d.column("x").n_missing
     assert diag.accepted["x"] + diag.fallbacks["x"] == 2 * 4 * n_miss
+
+
+def test_cox_smcfcs_run_builds_the_risk_set_layout_once(monkeypatch):
+    import smcimpute.fitters as fitters
+    import smcimpute.substantive as substantive
+    from smcimpute.simlab import apply_mcar, gen_cox
+
+    counts = {"cox_layout": 0, "fit_cox": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    layout_builder = counting("cox_layout", fitters.cox_layout)
+    for module in (fitters, substantive):
+        monkeypatch.setattr(module, "cox_layout", layout_builder)
+    monkeypatch.setattr(substantive, "fit_cox", counting("fit_cox", fitters.fit_cox))
+    d = apply_mcar(gen_cox(200, np.random.default_rng(5)), 0.7, np.random.default_rng(6))
+    cfg = EngineConfig(
+        method="smcfcs", m=2, iterations=2, seed=3,
+        substantive=("cox", parse_formula("surv(w,d) ~ x1 + x2")),
+        covariate_specs=default_covariate_specs(d, "smcfcs"),
+    )
+    assert run_smcfcs(d, cfg).diagnostics.retries == 0
+    assert counts == {"cox_layout": 1, "fit_cox": 2 * 2 * 2}  # chains x sweeps x covariates
+    # the layout lives in the run, not in module state
+    assert not [name for name, value in vars(fitters).items()
+                if not name.startswith("__") and isinstance(value, dict)]

@@ -6,6 +6,7 @@ from smcimpute.fitters import (
     FitError,
     StepCumHazard,
     breslow_baseline,
+    cox_layout,
     cox_loglik,
     draw_cox_posterior,
     draw_glm_posterior,
@@ -317,6 +318,39 @@ def test_draw_cox_posterior_seed_reproducible():
     a = draw_cox_posterior(fit, X, time, event, rng0(15))
     b = draw_cox_posterior(fit, X, time, event, rng0(15))
     np.testing.assert_array_equal(a[0], b[0])
+
+
+def test_cox_prepared_layout_gives_bit_identical_results():
+    rng = rng0(16)
+    n = 150
+    X = rng.normal(size=(n, 2))
+    time = np.round(rng.exponential(1.0, n) * np.exp(-X[:, 0]), 1) + 0.1  # many ties
+    event = (rng.random(n) < 0.7).astype(float)
+    layout = cox_layout(time, event)
+
+    def same(a, b):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    for beta0 in (None, np.array([0.8, -0.1])):
+        cold = fit_cox(X, time, event, beta0=beta0)
+        prepared = fit_cox(X, time, event, beta0=beta0, layout=layout)
+        for a, b in ((cold.beta, prepared.beta), (cold.covariance, prepared.covariance),
+                     (cold.baseline.knots, prepared.baseline.knots),
+                     (cold.baseline.cumvals, prepared.baseline.cumvals)):
+            same(a, b)
+    beta = np.array([0.9, 0.2])
+    for a, b in zip(cox_loglik(X, time, event, beta),
+                    cox_loglik(X, time, event, beta, layout=layout)):
+        same(a, b)
+    same(breslow_baseline(X, time, event, beta).cumvals,
+         breslow_baseline(X, time, event, beta, layout=layout).cumvals)
+    # the posterior draw re-estimates the baseline on the fit's own layout
+    unprepared = type(prepared)(beta=prepared.beta, covariance=prepared.covariance,
+                                baseline=prepared.baseline)
+    a = draw_cox_posterior(prepared, X, time, event, rng0(17))
+    b = draw_cox_posterior(unprepared, X, time, event, rng0(17))
+    same(a[0], b[0])
+    same(a[1].cumvals, b[1].cumvals)
 
 
 # ---------------------------------------------------------------------------
