@@ -27,6 +27,7 @@ from .engines import (
     EngineConfig,
     EngineFailure,
     ImputationResult,
+    SubstantiveModelError,
     default_covariate_specs,
     jav_analysis_formula,
     jav_config,

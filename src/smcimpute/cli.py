@@ -33,6 +33,7 @@ from .dataset import (
 from .engines import (
     EngineConfig,
     EngineFailure,
+    SubstantiveModelError,
     default_covariate_specs,
     run_fcs,
     run_smcfcs,
@@ -217,6 +218,8 @@ def cmd_impute(args) -> int:
             result = run_fcs(d, config)
         else:
             result = run_smcfcs(d, config)
+    except SubstantiveModelError as exc:
+        _fail("--smodel", str(exc))
     except DataError as exc:
         _fail("--covmodel", str(exc))
     _write_long_csv(args.out, result.datasets, d.names)

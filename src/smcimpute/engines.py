@@ -56,6 +56,7 @@ __all__ = [
     "Diagnostics",
     "ImputationResult",
     "EngineFailure",
+    "SubstantiveModelError",
     "run_fcs",
     "run_smcfcs",
     "jav_config",
@@ -71,6 +72,11 @@ DEFAULT_ITERATIONS = {"fcs": 10, "smcfcs": 20}
 
 class EngineFailure(RuntimeError):
     """An imputation chain could not be completed."""
+
+
+class SubstantiveModelError(DataError):
+    """The outcome model does not fit the data: an unknown column or a
+    response with missing cells."""
 
 
 @dataclass(frozen=True)
@@ -401,12 +407,14 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         family, formula = config.substantive
         for v in formula.variables:
             if not d.has_column(v):
-                raise DataError(f"substantive formula references unknown column {v!r}")
+                raise SubstantiveModelError(f"substantive formula references unknown column {v!r}")
         model = FAMILIES[family]
-        try:  # DataError names an absent response column
+        try:
             response = model.prepare(*response_arrays(formula, d))
+        except DataError as exc:  # an absent response column
+            raise SubstantiveModelError(f"substantive response: {exc}") from None
         except FormulaError as exc:  # a response column with missing cells
-            raise DataError(f"substantive {exc}") from None
+            raise SubstantiveModelError(f"substantive {exc}") from None
 
     masks = {c.name: c.observed.copy() for c in d.columns}
     missing_idx = {name: np.flatnonzero(~masks[name]) for name in sampled}

@@ -16,7 +16,7 @@ from scipy.special import ndtri, stdtrit
 
 from .fitters import FitError
 from .formula import ModelFormula
-from .substantive import substantive_estimates
+from .substantive import shared_response, substantive_estimates
 
 __all__ = ["PooledEstimate", "PoolError", "fit_each", "pool"]
 
@@ -56,13 +56,15 @@ def fit_each(result, family: str, formula: ModelFormula):
 
     `result` is an ImputationResult or any iterable of completed datasets.
     All fits must succeed; failures abort pooling and name the failing
-    imputations (1-based).
+    imputations (1-based).  The response (for Cox, its risk-set layout) is
+    prepared once when it is the same in every dataset.
     """
-    datasets = getattr(result, "datasets", result)
+    datasets = list(getattr(result, "datasets", result))
+    response = shared_response(family, formula, datasets)
     estimates, variances, failed = [], [], []
     for index, d in enumerate(datasets, start=1):
         try:
-            est, var = substantive_estimates(family, formula, d)
+            est, var = substantive_estimates(family, formula, d, response)
             estimates.append(est)
             variances.append(var)
         except FitError:

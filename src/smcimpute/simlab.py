@@ -11,9 +11,14 @@ Three study designs are covered, each with methods drawn from
 
 Residual variances are calibrated by a 10^6-draw Monte-Carlo of Var(g(X))
 so the true-model R^2 is 0.5; the observation-model intercept for the
-missing-at-random mechanism is calibrated by a Newton solve so the marginal
-observation probability hits its target.  Both calibrations use dedicated
-fixed seeds and are scenario constants.
+missing-at-random mechanism is calibrated by a Newton solve on a 10^6-draw
+sample so the marginal observation probability hits its target.  Both
+calibrations use dedicated fixed seeds and are scenario constants: the
+values for every covariate distribution, and the intercepts at the builtin
+observation probability P_OBS, are frozen below as the exact floats the
+Monte-Carlo returns (a test recomputes and compares them).  Only a scenario
+with another p_obs, which a JSON scenario file can give, runs the
+intercept Monte-Carlo, once per process (about 0.3 s and 50 MB).
 """
 
 from __future__ import annotations
@@ -126,9 +131,43 @@ def _draw_interaction_covs(variant: str, n: int, rng):
 # ---------------------------------------------------------------------------
 # calibration
 
-@lru_cache(maxsize=None)
+P_OBS = 0.7  # observation probability of every builtin scenario
+
+# _residual_variance_mc(dgp, variant), as repr round-trip literals
+_RESIDUAL_VARIANCE = {
+    ("quadratic", "normal"): 1.9971020881588468,
+    ("quadratic", "lognormal"): 6.908428479662657,
+    ("quadratic", "normal_mixture"): 0.8251196855826165,
+    ("interaction", "bvnormal"): 28.237421530037576,
+    ("interaction", "bvlognormal"): 36.114562033434346,
+    ("interaction", "quad_conditional"): 60.329889608537,
+    ("interaction", "bern_normal"): 4.749149946969819,
+    ("interaction", "bern_lognormal"): 8.75323636807722,
+}
+
+# _mar_intercept_mc(dgp, variant, P_OBS), as repr round-trip literals
+_MAR_INTERCEPT = {
+    ("quadratic", "normal"): (1.4745306059351262, -0.5000108237577402),
+    ("quadratic", "lognormal"): (1.2030451241999285, -0.27031796614802),
+    ("quadratic", "normal_mixture"): (1.7740089620944297, -0.7788730398507113),
+    ("interaction", "bvnormal"): (2.1382908385309367, -0.13304107030415555),
+    ("interaction", "bvlognormal"): (1.9735460206575828, -0.1177032274866427),
+    ("interaction", "quad_conditional"): (1.4327424932025479, -0.09137398134030476),
+    ("interaction", "bern_normal"): (1.4979836328796896, -0.324313994808709),
+    ("interaction", "bern_lognormal"): (2.0879242931364743, -0.2392590396704076),
+}
+
+
 def residual_variance(dgp: str, variant: str) -> float:
-    """Var(g(X)) over 10^6 draws, so that adding noise of this variance gives R^2 = 0.5."""
+    """Var(g(X)), so that adding noise of this variance gives R^2 = 0.5."""
+    if (dgp, variant) in _RESIDUAL_VARIANCE:
+        return _RESIDUAL_VARIANCE[dgp, variant]
+    return _residual_variance_mc(dgp, variant)  # no such (dgp, variant): raises ValueError
+
+
+@lru_cache(maxsize=None)
+def _residual_variance_mc(dgp: str, variant: str) -> float:
+    """Var(g(X)) over 10^6 draws from the calibration stream."""
     rng = stream(CALIBRATION_SEED, "sigma", dgp, variant)
     if dgp == "quadratic":
         x = _draw_quadratic_x(variant, CALIBRATION_DRAWS, rng)
@@ -175,13 +214,20 @@ def calibrate_mar_intercept(y_sample, alpha1: float, target_p: float) -> float:
     return alpha0
 
 
-@lru_cache(maxsize=None)
 def mar_intercept(dgp: str, variant: str, target_p: float) -> tuple[float, float]:
     """(alpha0, alpha1) for observation model expit(alpha0 + alpha1 * y).
 
     alpha1 = -1 / SD(Y); alpha0 calibrated so the marginal observation
-    probability equals target_p.  Based on a fresh calibration sample.
+    probability equals target_p.  Frozen for target_p == P_OBS.
     """
+    if target_p == P_OBS and (dgp, variant) in _MAR_INTERCEPT:
+        return _MAR_INTERCEPT[dgp, variant]
+    return _mar_intercept_mc(dgp, variant, target_p)
+
+
+@lru_cache(maxsize=None)
+def _mar_intercept_mc(dgp: str, variant: str, target_p: float) -> tuple[float, float]:
+    """mar_intercept from a 10^6-draw sample of the calibration stream."""
     rng = stream(CALIBRATION_SEED, "mar", dgp, variant)
     if dgp == "quadratic":
         d = gen_quadratic(variant, CALIBRATION_DRAWS, rng)
@@ -290,7 +336,7 @@ class ScenarioConfig:
     m: int = 10
     methods: tuple[str, ...] = ("fcs_linear", "jav", "smcfcs")
     seed: int = 2012
-    p_obs: float = 0.7
+    p_obs: float = P_OBS
     name: str = ""
 
     def __post_init__(self):
@@ -477,9 +523,9 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:
     replication, not by worker.
     """
     if cfg.mechanism == "mar":
-        mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs)  # warm the cache pre-fork
-    if cfg.dgp != "cox":
-        residual_variance(cfg.dgp, cfg.variant)
+        # a p_obs other than P_OBS runs the intercept Monte-Carlo; under the
+        # fork start method, workers inherit its cached result
+        mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs)
     jobs = [(cfg, rep) for rep in range(cfg.reps)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit, ndtri, stdtrit
 
+from .dataset import DataError
 from .fitters import (
     FitError,
     StepCumHazard,
@@ -54,6 +55,7 @@ __all__ = [
     "log_ratio_normal",
     "log_ratio_discrete",
     "log_ratio_cox",
+    "shared_response",
     "substantive_estimates",
 ]
 
@@ -236,13 +238,39 @@ class Cox(Family):
 FAMILIES = {family.name: family for family in (NormalLinear(), Logistic(), Cox())}
 
 
-def substantive_estimates(family: str, formula: ModelFormula, d):
-    """(estimate vector, squared-standard-error vector) of one completed-data fit."""
+def _outcome_family(family: str, formula: ModelFormula) -> Family:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     model = FAMILIES[family]
     if model.survival != formula.is_survival:
         raise FormulaError("formula response does not match the outcome family")
+    return model
+
+
+def substantive_estimates(family: str, formula: ModelFormula, d, response=None):
+    """(estimate vector, squared-standard-error vector) of one completed-data fit.
+
+    `response` is the family's prepared response of d; None prepares it here.
+    """
+    model = _outcome_family(family, formula)
     X = design_matrix(formula, d)
-    fit = model.fit(X, model.prepare(*response_arrays(formula, d)))
+    if response is None:
+        response = model.prepare(*response_arrays(formula, d))
+    fit = model.fit(X, response)
     return fit.beta.copy(), fit.coef_variances().copy()
+
+
+def shared_response(family: str, formula: ModelFormula, datasets):
+    """The prepared response of every dataset when all their response arrays
+    are equal, as when only covariates were imputed; else None.  Also None
+    when a dataset lacks a complete response, which its own fit reports."""
+    model = _outcome_family(family, formula)
+    try:
+        arrays = [response_arrays(formula, d) for d in datasets]
+    except (DataError, FormulaError):
+        return None
+    if not arrays or not all(
+        all(map(np.array_equal, other, arrays[0])) for other in arrays[1:]
+    ):
+        return None
+    return model.prepare(*arrays[0])

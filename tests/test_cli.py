@@ -193,6 +193,20 @@ def test_impute_zero_iterations_names_the_iter_flag(quad_files, capsys):
     assert "--iter: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("smodel, message", [
+    ("y ~ x + z", "substantive formula references unknown column 'z'"),
+    ("x ~ y", "substantive column x has missing cells"),
+    ("q ~ x", "substantive response: unknown column 'q'"),
+])
+def test_impute_outcome_model_data_error_names_the_smodel_flag(quad_files, capsys,
+                                                               smodel, message):
+    tmp, data, schema = quad_files
+    argv = impute_args(data, schema, tmp / "o.csv")
+    argv[argv.index("--smodel") + 1] = smodel
+    assert run(argv) == 2
+    assert f"--smodel: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tail, bad_row, cells", [
     ("\n", 5, 0),  # trailing blank line
     ("2,0.5\n", 5, 2),  # short row

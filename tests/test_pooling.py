@@ -113,6 +113,66 @@ def test_fit_each_reports_failing_imputations():
     assert info.value.failed_indices == (2,)
 
 
+def _cox_imputations(m):
+    from smcimpute.engines import EngineConfig, default_covariate_specs, run_fcs
+    from smcimpute.simlab import apply_mcar, gen_cox
+
+    d = apply_mcar(gen_cox(200, np.random.default_rng(7)), 0.7, np.random.default_rng(8))
+    cfg = EngineConfig(method="fcs", m=m, iterations=2, seed=4, cumhaz_column="h",
+                       covariate_specs=default_covariate_specs(d, "fcs", cumhaz_column="h"))
+    return run_fcs(d, cfg)
+
+
+def _count_layout_builds(monkeypatch):
+    import smcimpute.fitters as fitters
+    import smcimpute.substantive as substantive
+
+    builds, build = [], fitters.cox_layout
+
+    def counting(time, event):
+        builds.append(1)
+        return build(time, event)
+
+    for module in (fitters, substantive):
+        monkeypatch.setattr(module, "cox_layout", counting)
+    return builds
+
+
+def _per_dataset_fits(datasets, formula):
+    from smcimpute.substantive import substantive_estimates
+
+    fits = [substantive_estimates("cox", formula, d) for d in datasets]
+    return np.array([e for e, _ in fits]), np.array([v for _, v in fits])
+
+
+def test_fit_each_builds_one_cox_layout_for_imputations_sharing_the_response(monkeypatch):
+    result = _cox_imputations(5)
+    formula = parse_formula("surv(w,d) ~ x1 + x2")
+    expected = _per_dataset_fits(result.datasets, formula)
+    builds = _count_layout_builds(monkeypatch)
+    est, var = fit_each(result, "cox", formula)
+    assert len(builds) == 1
+    assert est.tobytes() == expected[0].tobytes()
+    assert var.tobytes() == expected[1].tobytes()
+
+
+def test_fit_each_prepares_each_cox_response_when_time_columns_differ(monkeypatch):
+    datasets = list(_cox_imputations(3).datasets)
+    w = datasets[1].column("w")
+    datasets[1] = Dataset(tuple(
+        Column("w", w.kind, w.role, 1.5 * w.values, w.observed) if c.name == "w" else c
+        for c in datasets[1].columns
+    ))
+    formula = parse_formula("surv(w,d) ~ x1 + x2")
+    expected = _per_dataset_fits(datasets, formula)
+    builds = _count_layout_builds(monkeypatch)
+    est, var = fit_each(datasets, "cox", formula)
+    assert len(builds) == 3
+    assert est.tobytes() == expected[0].tobytes()
+    assert var.tobytes() == expected[1].tobytes()
+    assert not np.array_equal(est[1], est[0])
+
+
 def test_fit_each_perfect_fit_zero_variance():
     x = np.arange(1.0, 7.0)
     d = _complete({"x": x, "y": 3.0 * x})

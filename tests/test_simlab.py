@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 from scipy.stats import norm, t
 
+from smcimpute import simlab
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.fitters import fit_cox, fit_linear, fit_logistic
 from smcimpute.formula import design_from_arrays, parse_formula
@@ -176,12 +181,51 @@ def test_calibrate_mar_intercept_matches_brentq(y, alpha1, target_p):
     assert abs(calibrate_mar_intercept(y, alpha1, target_p) - expected) <= 1e-12
 
 
-def test_mar_calibration_hits_marginal_rate():
-    alpha0, alpha1 = mar_intercept("quadratic", "normal", 0.7)
+@pytest.mark.parametrize("p_obs", [0.7, 0.5])
+def test_mar_calibration_hits_marginal_rate(monkeypatch, p_obs):
+    calls, monte_carlo = [], simlab._mar_intercept_mc
+    monkeypatch.setattr(simlab, "_mar_intercept_mc",
+                        lambda *args: calls.append(args) or monte_carlo(*args))
+    alpha0, alpha1 = mar_intercept("quadratic", "normal", p_obs)
+    # the builtin rate is frozen; any other runs the Monte-Carlo
+    assert len(calls) == (p_obs != simlab.P_OBS)
     assert alpha1 < 0
     d = gen_quadratic("normal", BIG, stream(14, "marfresh"))
     masked = apply_mar(d, alpha0, alpha1, stream(14, "marmask"))
-    assert abs(masked.column("x").observed.mean() - 0.7) < 0.005
+    assert abs(masked.column("x").observed.mean() - p_obs) < 0.005
+
+
+def test_frozen_calibration_constants_equal_the_monte_carlo():
+    assert len(simlab._RESIDUAL_VARIANCE) == len(simlab._MAR_INTERCEPT) == 8
+    for (dgp, variant), frozen in simlab._RESIDUAL_VARIANCE.items():
+        fresh = simlab._residual_variance_mc.__wrapped__(dgp, variant)
+        assert math.isclose(frozen, fresh, rel_tol=1e-12), (dgp, variant)
+    for (dgp, variant), frozen in simlab._MAR_INTERCEPT.items():
+        fresh = simlab._mar_intercept_mc.__wrapped__(dgp, variant, simlab.P_OBS)
+        for a, b in zip(frozen, fresh):
+            assert math.isclose(a, b, rel_tol=1e-12), (dgp, variant)
+
+
+def test_builtin_calibration_allocates_no_monte_carlo_sample():
+    src = str(Path(simlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import tracemalloc\n"
+        "from smcimpute import simlab\n"
+        "scenarios = simlab.builtin_scenarios().values()\n"
+        "tracemalloc.start()\n"
+        "for cfg in scenarios:\n"
+        "    if cfg.dgp != 'cox':\n"
+        "        simlab.residual_variance(cfg.dgp, cfg.variant)\n"
+        "    if cfg.mechanism == 'mar':\n"
+        "        simlab.mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) < 1_000_000
 
 
 def test_mar_observation_rate_decreases_in_y():
