@@ -6,6 +6,11 @@ log-likelihood by more than a relative 1e-12.  Divergence (separation in
 logistic regression, monotone partial likelihood in Cox regression) is
 declared when any coefficient exceeds 30 on the scale of its standardized
 predictor.
+
+Every symmetric positive-definite solve (normal equations, Newton step,
+inverse information) goes through one numpy Cholesky factorization, as does
+the multivariate normal draw.  A matrix with a non-finite entry, or one that
+is not positive definite, raises FitError.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, log_expit
 
 __all__ = [
@@ -59,13 +63,38 @@ def _diverged(beta: np.ndarray, scales: np.ndarray) -> bool:
     return bool(np.any(np.abs(beta) * scales > DIVERGENCE_THRESHOLD))
 
 
+def _cholesky(a, message: str) -> np.ndarray:
+    """Lower Cholesky factor L (a = L L') of a symmetric positive-definite matrix.
+
+    Raises FitError(message) when a has a non-finite entry or is not positive
+    definite.  np.linalg.cholesky passes NaN and inf through silently, hence
+    the explicit finite check.
+    """
+    if not np.all(np.isfinite(a)):
+        raise FitError(message)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(message) from exc
+
+
+def _spd_solve(a, b, message: str) -> np.ndarray:
+    """x with a x = b for symmetric positive-definite a, by its Cholesky factor.
+
+    b may be a vector or a matrix; b = I gives the inverse of a.  A non-finite
+    b raises FitError(message) as well.  numpy has no triangular solve, so the
+    small factor is inverted once and applied twice.
+    """
+    lower_inv = np.linalg.inv(_cholesky(a, message))
+    if not np.all(np.isfinite(b)):
+        raise FitError(message)
+    return lower_inv.T @ (lower_inv @ b)
+
+
 def multivariate_normal_draw(mean, cov, rng) -> np.ndarray:
     """One draw from N(mean, cov) via the Cholesky factor of cov."""
     mean = np.asarray(mean, dtype=float)
-    try:
-        lower = np.linalg.cholesky(np.asarray(cov, dtype=float))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FitError("covariance matrix is not positive definite") from exc
+    lower = _cholesky(cov, "covariance matrix is not positive definite")
     return mean + lower @ rng.standard_normal(mean.shape[0])
 
 
@@ -95,18 +124,15 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearFit:
     n, k = X.shape
     if n <= k:
         raise FitError(f"need more rows than columns (n={n}, k={k})")
-    xtx = X.T @ X
-    try:
-        factor = cho_factor(xtx, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FitError("design matrix is rank deficient") from exc
-    beta = cho_solve(factor, X.T @ y)
+    # one factorization solves for beta and for (X'X)^-1 together
+    solved = _spd_solve(X.T @ X, np.column_stack((X.T @ y, np.eye(k))),
+                        "design matrix is rank deficient")
+    beta, xtx_inv = solved[:, 0], solved[:, 1:]
     resid = y - X @ beta
     sse = float(resid @ resid)
     # a perfect fit leaves rounding dust; snap it to an exact zero
     if sse <= 1e-24 * max(float(y @ y), 1.0):
         sse = 0.0
-    xtx_inv = cho_solve(factor, np.eye(k))
     xtx_inv = 0.5 * (xtx_inv + xtx_inv.T)
     return LinearFit(beta=beta, sigma2=sse / (n - k), xtx_inverse=xtx_inv, n=n, k=k)
 
@@ -166,10 +192,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):
-        try:
-            step = cho_solve(cho_factor(info, lower=True), score)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise FitError("observed information is singular") from exc
+        step = _spd_solve(info, score, "observed information is singular")
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
@@ -193,10 +216,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
     if not converged:
         return GlmFit(beta=beta, covariance=np.full((k, k), np.nan), converged=False,
                       iterations=iterations)
-    try:
-        cov = cho_solve(cho_factor(info, lower=True), np.eye(k))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FitError("observed information is singular at the MLE") from exc
+    cov = _spd_solve(info, np.eye(k), "observed information is singular at the MLE")
     cov = 0.5 * (cov + cov.T)
     return GlmFit(beta=beta, covariance=cov, converged=True, iterations=iterations)
 
@@ -353,10 +373,7 @@ def fit_cox(
     ll, score, info = cox_loglik(X, time, event, beta, layout=layout)
     converged = False
     for _ in range(MAX_ITER):
-        try:
-            step = cho_solve(cho_factor(info, lower=True), score)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise FitError("Cox information matrix is singular") from exc
+        step = _spd_solve(info, score, "Cox information matrix is singular")
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
@@ -373,10 +390,7 @@ def fit_cox(
             break
     if not converged:
         raise FitError("Cox fit did not converge")
-    try:
-        cov = cho_solve(cho_factor(info, lower=True), np.eye(k))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FitError("Cox information matrix is singular at the MLE") from exc
+    cov = _spd_solve(info, np.eye(k), "Cox information matrix is singular at the MLE")
     cov = 0.5 * (cov + cov.T)
     baseline = breslow_baseline(X, time, event, beta, layout=layout)
     return CoxFit(beta=beta, covariance=cov, baseline=baseline, layout=layout)

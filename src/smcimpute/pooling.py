@@ -88,6 +88,8 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
     point = estimates.mean(axis=0)
     within = variances.mean(axis=0)
     between = estimates.var(axis=0, ddof=1)
+    # the mean of M equal estimates can round, leaving B a few ulps above 0
+    between[np.all(estimates == estimates[0], axis=0)] = 0.0
     total = within + (1.0 + 1.0 / m) * between
 
     with np.errstate(divide="ignore", over="ignore"):

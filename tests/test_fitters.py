@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from smcimpute import fitters
 from smcimpute.fitters import (
     FitError,
     StepCumHazard,
+    _spd_solve,
     breslow_baseline,
     cox_layout,
     cox_loglik,
@@ -15,6 +17,7 @@ from smcimpute.fitters import (
     fit_linear,
     fit_logistic,
     logistic_loglik,
+    multivariate_normal_draw,
     nelson_aalen,
 )
 
@@ -411,3 +414,91 @@ def test_logistic_converges_at_n_1e5():
     assert fit.converged and fit.iterations < 10
     _, score, _ = logistic_loglik(X, y, fit.beta)
     assert np.linalg.norm(score) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# symmetric positive-definite solves
+
+def _random_spd(rng, k, cond):
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    eig = np.exp(rng.uniform(0.0, np.log(cond), k))
+    eig[0], eig[-1] = 1.0, cond
+    a = (q * eig) @ q.T * 10.0 ** rng.uniform(-3, 3)
+    return 0.5 * (a + a.T)
+
+
+def test_spd_solve_matches_scipy_cho_solve():
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = rng0(30)
+    eps = np.finfo(float).eps
+    for _ in range(400):
+        k = int(rng.integers(1, 9))
+        a = _random_spd(rng, k, 10.0 ** rng.uniform(0, 8))
+        # two backward-stable solvers can differ by up to about cond * eps
+        tol = max(1e-12, np.linalg.cond(a) * eps)
+        for b in (rng.normal(size=k), np.eye(k)):
+            ref = cho_solve(cho_factor(a, lower=True), b)
+            x = _spd_solve(a, b, "not positive definite")
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]),
+    ([[1.0, 0.0], [0.0, -1e-300]], [1.0, 1.0]),
+    ([[1.0, 0.0], [0.0, np.nan]], [1.0, 1.0]),
+    ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.nan]),
+])
+def test_spd_solve_rejects_indefinite_and_non_finite(a, b):
+    with pytest.raises(FitError, match="^call site message$"):
+        _spd_solve(np.array(a), np.array(b), "call site message")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_multivariate_normal_draw_rejects_non_finite_covariance(bad):
+    cov = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(FitError, match="not positive definite"):
+        multivariate_normal_draw(np.zeros(2), cov, rng0(0))
+
+
+def _fit(family, X):
+    rng = rng0(31)
+    n = X.shape[0]
+    if family == "linear":
+        return fit_linear(X, rng.normal(size=n))
+    if family == "logistic":
+        return fit_logistic(X, (rng.random(n) < 0.5).astype(float))
+    return fit_cox(X, rng.exponential(1.0, n) + 1e-3, np.ones(n))
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic", "cox"])
+def test_fits_reject_a_nan_design_cell(family):
+    X = rng0(32).normal(size=(60, 2))
+    X[7, 1] = np.nan
+    with pytest.raises(FitError):
+        _fit(family, X)
+
+
+def test_linear_rejects_a_nan_response():
+    X = np.column_stack([np.ones(5), np.arange(5.0)])
+    with pytest.raises(FitError):
+        fit_linear(X, np.array([0.0, 1.0, np.nan, 3.0, 4.0]))
+
+
+def test_linear_rejects_collinear_design_whose_cross_product_rounds_indefinite():
+    x = np.array([0.1, 0.2, 0.3, 0.7, 1.1])
+    X = np.column_stack([np.ones(5), x, 3.0 * x])
+    with pytest.raises(FitError, match="rank deficient"):
+        fit_linear(X, x)
+
+
+@pytest.mark.parametrize("family, loglik, message", [
+    ("logistic", "logistic_loglik", "observed information is singular"),
+    ("cox", "cox_loglik", "Cox information matrix is singular"),
+])
+def test_newton_fits_reject_indefinite_information(monkeypatch, family, loglik, message):
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    monkeypatch.setattr(fitters, loglik, lambda *a, **kw: (0.0, np.ones(2), indefinite))
+    with pytest.raises(FitError, match=f"^{message}$"):
+        _fit(family, rng0(32).normal(size=(60, 2)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, t
 
@@ -59,6 +59,7 @@ def test_pool_needs_two_imputations():
         max_size=12,
     )
 )
+@example(data=[(0.1, 1.0)] * 3)  # the mean of three 0.1s rounds
 @settings(max_examples=150)
 def test_pool_invariants(data):
     est = np.array([[e] for e, _ in data])
@@ -66,6 +67,8 @@ def test_pool_invariants(data):
     p = pool(est, var)
     assert p.total_var[0] >= p.within_var[0] - 1e-12
     if np.all(est == est[0]):
+        assert p.between_var[0] == 0.0
+        assert p.df[0] == np.inf
         assert p.total_var[0] == p.within_var[0]
     if p.between_var[0] > 1e-12 * p.within_var[0]:  # beyond float rounding
         assert p.total_var[0] > p.within_var[0]
