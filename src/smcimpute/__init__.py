@@ -6,11 +6,7 @@ times a covariate model (run_smcfcs), plus pooling by the usual combining
 rules and a Monte-Carlo simulation lab.
 """
 
-from .covariates import (
-    CovariateModelSpec,
-    CovariateParams,
-    sample_covariate,
-)
+from .covariates import CovariateModelSpec, CovariateParams
 from .dataset import (
     Column,
     DataError,

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .covariates import CovariateModelSpec, covariate_family
 from .dataset import (
     CHUNK_ROWS,
     DEFAULT_MISSING_TOKENS,
@@ -42,6 +41,7 @@ from .fitters import FitError
 from .formula import FormulaError, parse_formula
 from .pooling import PoolError, fit_each, pool
 from .simlab import ScenarioConfig, builtin_scenarios, run_scenario
+from .substantive import CovariateModelSpec, covariate_family
 
 __all__ = ["main"]
 
@@ -174,10 +174,13 @@ def _covariate_specs_from_flags(args, d):
             _fail("--covmodel", f"unknown target column {target!r}")
         if any(v == CUMHAZ_NAME for t in f.terms for v in t.variables):
             cumhaz = CUMHAZ_NAME
-        specs.append(CovariateModelSpec(
-            target=target, family=covariate_family(d.column(target).kind),
-            predictors=f.terms, intercept=f.intercept,
-        ))
+        try:
+            specs.append(CovariateModelSpec(
+                target=target, family=covariate_family(d.column(target).kind),
+                predictors=f.terms, intercept=f.intercept,
+            ))
+        except ValueError as exc:
+            _fail("--covmodel", str(exc))
     return tuple(specs), cumhaz
 
 

@@ -142,9 +142,6 @@ class Dataset:
     def partial_covariates(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.role is VariableRole.PARTIAL_COVARIATE)
 
-    def is_complete(self) -> bool:
-        return all(not np.any(np.isnan(c.values)) for c in self.columns)
-
     def with_values(self, new_values: Mapping[str, np.ndarray]) -> "Dataset":
         """Dataset with replaced value arrays; masks and metadata are kept.
 

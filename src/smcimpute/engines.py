@@ -16,7 +16,8 @@ Two engines share one chain skeleton:
                by exact enumeration for binary targets and rejection
                sampling (proposal = covariate model) for continuous ones.
 
-Each of the M imputations runs an independent chain from a fresh random
+Both call the family objects of the substantive module directly.  Each of
+the M imputations runs an independent chain from a fresh random
 initialization.  Derived (passive) columns are recomputed from the latest
 base imputations and never sampled directly; the just-another-variable
 helper instead promotes derived terms to free-standing covariates.
@@ -29,13 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .covariates import (
-    CovariateModelSpec,
-    covariate_family,
-    fit_and_draw_arrays,
-    log_conditional_density,
-    sample_covariate,
-)
 from .dataset import Column, Dataset, DataError, VariableKind, VariableRole
 from .dataset import missingness_order as _missingness_order
 from .fitters import FitError, nelson_aalen
@@ -48,7 +42,7 @@ from .formula import (
     term_column_name,
 )
 from .rng import stream, subsequence
-from .substantive import FAMILIES, Family
+from .substantive import FAMILIES, CovariateModelSpec, Family, covariate_family, outcome_family
 
 __all__ = [
     "DerivedColumn",
@@ -110,11 +104,7 @@ class EngineConfig:
         if self.method == "smcfcs":
             if self.substantive is None:
                 raise ValueError("smcfcs requires a substantive (family, formula)")
-            family, formula = self.substantive
-            if family not in FAMILIES:
-                raise ValueError(f"unknown substantive family {family!r}")
-            if FAMILIES[family].survival != formula.is_survival:
-                raise ValueError("substantive formula response does not match family")
+            outcome_family(*self.substantive)
             if self.promote_terms:
                 raise ValueError("promoted covariates are a chained-equations device")
         object.__setattr__(self, "covariate_specs", tuple(self.covariate_specs))
@@ -159,13 +149,6 @@ class Diagnostics:
         prop = self.proposals.get(target, 0)
         return self.accepted.get(target, 0) / prop if prop else float("nan")
 
-    def mean_rejections(self, target) -> float:
-        acc = self.accepted.get(target, 0)
-        return self.proposals.get(target, 0) / acc - 1.0 if acc else float("nan")
-
-    def total_fallbacks(self) -> int:
-        return sum(self.fallbacks.values())
-
     def to_csv_text(self) -> str:
         lines = ["kind,imp,sweep,stage,name,value"]
         for imp, sweep, stage, name, value in self.traces:
@@ -200,7 +183,6 @@ def default_covariate_specs(
     d: Dataset,
     method: str,
     cumhaz_column: str | None = None,
-    extra_covariates: tuple[str, ...] = (),
 ) -> tuple[CovariateModelSpec, ...]:
     """One spec per partial covariate: every other covariate at power one.
 
@@ -212,9 +194,7 @@ def default_covariate_specs(
     event = [c.name for c in d.columns if c.role is VariableRole.EVENT]
     specs = []
     for col in d.partial_covariates():
-        others = _covariate_names(d, exclude=(col.name,))
-        others += [x for x in extra_covariates if x != col.name]
-        preds = [Term(((o, 1),)) for o in others]
+        preds = [Term(((o, 1),)) for o in _covariate_names(d, exclude=(col.name,))]
         if method == "fcs":
             if outcome:
                 preds.append(Term(((outcome[0], 1),)))
@@ -290,7 +270,6 @@ class _Context:
     derived: tuple[DerivedColumn, ...]
     masks: dict[str, np.ndarray]
     missing_idx: dict[str, np.ndarray]
-    kinds: dict[str, VariableKind]
     model: Family | None = None  # smcfcs: the outcome family
     response: object = None  # smcfcs: model.prepare(response arrays), built once per run
 
@@ -386,14 +365,11 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     outcome_derived = _outcome_derived_names(d, config)
     for name, spec in specs.items():
         col = d.column(name)
-        if FAMILIES[spec.family].binary != (col.kind is VariableKind.BINARY):
+        if spec.model.binary != (col.kind is VariableKind.BINARY):
             raise DataError(
                 f"covariate {name} is {col.kind.value}; spec family {spec.family} does not match"
             )
-        if spec.predictors is None:
-            raise DataError(f"spec for {name} has unresolved predictors; "
-                            "use default_covariate_specs to build defaults")
-        for v in spec.predictor_variables:
+        for v in spec.formula.variables:
             if not d.has_column(v):
                 raise DataError(f"spec for {name} references unknown column {v!r}")
             if config.method == "smcfcs" and v in outcome_derived:
@@ -418,11 +394,10 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
 
     masks = {c.name: c.observed.copy() for c in d.columns}
     missing_idx = {name: np.flatnonzero(~masks[name]) for name in sampled}
-    kinds = {c.name: c.kind for c in d.columns}
     return _Context(
         d=d, config=config, sampled=sampled, specs=specs,
         derived=config.derived_columns, masks=masks,
-        missing_idx=missing_idx, kinds=kinds, model=model, response=response,
+        missing_idx=missing_idx, model=model, response=response,
     )
 
 
@@ -449,15 +424,9 @@ def _recompute_derived(ctx: _Context, cur) -> None:
         cur[dc.name] = np.where(mask, cur[dc.name], values)
 
 
-def _spec_design_all(spec: CovariateModelSpec, cur, n) -> np.ndarray:
-    cols = {v: cur[v] for v in spec.predictor_variables}
-    return design_from_arrays(spec.predictors, spec.intercept, cols, n)
-
-
-def _spec_labels(spec: CovariateModelSpec) -> list[str]:
-    labels = ["(intercept)"] if spec.intercept else []
-    labels.extend(t.label() for t in spec.predictors)
-    return labels
+def _design(formula: ModelFormula, cols, n) -> np.ndarray:
+    """The right-hand side of an outcome or covariate formula on `cols`."""
+    return design_from_arrays(formula.terms, formula.intercept, cols, n)
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +440,18 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     acceptance ratio at X_j = v times the covariate model's mass at v.
     """
     model = FAMILIES[family]
-    needed = set(formula.variables) | set(spec.predictor_variables)
+    needed = set(formula.variables) | set(spec.formula.variables)
     base = {v: cur[v][rows] for v in needed if v != spec.target}
     y_parts = model.y_parts(formula, psi, cur, rows)
     size = rows.size
+    mu = _design(spec.formula, base, size) @ phi.beta
     log_w = []
     for v in (0.0, 1.0):
         cols = dict(base)
         cols[spec.target] = np.full(size, v)
-        g = design_from_arrays(formula.terms, formula.intercept, cols, size) @ psi.beta
+        g = _design(formula, cols, size) @ psi.beta
         log_ratio = model.log_ratio(psi, y_parts, g)
-        log_mass = log_conditional_density(spec, phi, base, np.full(size, v), size)
+        log_mass = spec.model.log_ratio(phi, (cols[spec.target],), mu)
         log_w.append(log_ratio + log_mass)
     return expit(log_w[1] - log_w[0])
 
@@ -497,7 +467,7 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
     candidate at a time.
     """
     model = FAMILIES[family]
-    needed = set(formula.variables) | set(spec.predictor_variables)
+    needed = set(formula.variables) | set(spec.formula.variables)
     base = {v: cur[v][rows] for v in needed if v != spec.target}
     y_parts = model.y_parts(formula, psi, cur, rows)
     size = rows.size
@@ -514,10 +484,10 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
         npend = pending.size
         wide = npend * batch
         sub = {v: np.repeat(arr[pending], batch) for v, arr in base.items()}
-        cand = sample_covariate(spec, phi, sub, rng, wide)
+        cand = spec.model.sample(phi, _design(spec.formula, sub, wide) @ phi.beta, rng)
         sub[spec.target] = cand
         y_sub = tuple(np.repeat(part[pending], batch) for part in y_parts)
-        g = design_from_arrays(formula.terms, formula.intercept, sub, wide) @ psi.beta
+        g = _design(formula, sub, wide) @ psi.beta
         log_ratio = model.log_ratio(psi, y_sub, g)
         proposals += wide
         attempts += batch
@@ -553,16 +523,15 @@ def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     for name in ctx.sampled:
         _recompute_derived(ctx, cur)
         spec = ctx.specs[name]
-        X = _spec_design_all(spec, cur, ctx.d.n)
+        X = _design(spec.formula, cur, ctx.d.n)
         obs = ctx.masks[name]
-        phi, fit = fit_and_draw_arrays(spec, X[obs], cur[name][obs], rng,
-                                       beta0=warm.get(name))
+        fit = spec.model.fit(X[obs], cur[name][obs], warm.get(name))
+        phi = spec.model.posterior(fit, rng)
         warm[name] = fit.beta
-        diag.record_trace(imp, sweep, f"phi[{name}]", _spec_labels(spec), phi.beta)
+        diag.record_trace(imp, sweep, f"phi[{name}]", spec.formula.labels(), phi.beta)
         miss = ctx.missing_idx[name]
         if miss.size:
-            row = {v: cur[v][miss] for v in spec.predictor_variables}
-            cur[name][miss] = sample_covariate(spec, phi, row, rng, miss.size)
+            cur[name][miss] = spec.model.sample(phi, X[miss] @ phi.beta, rng)
     _recompute_derived(ctx, cur)
 
 
@@ -570,8 +539,7 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     family, formula = ctx.config.substantive
     model, response = ctx.model, ctx.response
     for name in ctx.sampled:
-        X = design_from_arrays(formula.terms, formula.intercept,
-                               {v: cur[v] for v in formula.variables}, ctx.d.n)
+        X = _design(formula, cur, ctx.d.n)
         fit = model.fit(X, response, warm.get("_psi"))
         psi = model.draw(fit, X, response, rng)
         warm["_psi"] = fit.beta
@@ -579,14 +547,15 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
         if psi.sigma2 is not None:
             diag.record_trace(imp, sweep, f"psi[{name}]", ["sigma2"], [psi.sigma2])
         spec = ctx.specs[name]
-        X = _spec_design_all(spec, cur, ctx.d.n)
-        phi, fit = fit_and_draw_arrays(spec, X, cur[name], rng, beta0=warm.get(name))
+        X = _design(spec.formula, cur, ctx.d.n)
+        fit = spec.model.fit(X, cur[name], warm.get(name))
+        phi = spec.model.posterior(fit, rng)
         warm[name] = fit.beta
-        diag.record_trace(imp, sweep, f"phi[{name}]", _spec_labels(spec), phi.beta)
+        diag.record_trace(imp, sweep, f"phi[{name}]", spec.formula.labels(), phi.beta)
         miss = ctx.missing_idx[name]
         if not miss.size:
             continue
-        if ctx.kinds[name] is VariableKind.BINARY:
+        if spec.model.binary:
             p1 = smc_binary_probs(family, formula, psi, spec, phi, cur, miss)
             cur[name][miss] = (rng.random(miss.size) < p1).astype(float)
             diag.record_sampling(name, miss.size, miss.size, 0)

@@ -88,8 +88,11 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
     point = estimates.mean(axis=0)
     within = variances.mean(axis=0)
     between = estimates.var(axis=0, ddof=1)
-    # the mean of M equal estimates can round, leaving B a few ulps above 0
-    between[np.all(estimates == estimates[0], axis=0)] = 0.0
+    # the mean of M equal estimates can round off their common value and
+    # leave B a few ulps above 0
+    equal = np.all(estimates == estimates[0], axis=0)
+    point[equal] = estimates[0, equal]
+    between[equal] = 0.0
     total = within + (1.0 + 1.0 / m) * between
 
     with np.errstate(divide="ignore", over="ignore"):

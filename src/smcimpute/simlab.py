@@ -40,12 +40,11 @@ from .engines import (
     run_fcs,
     run_smcfcs,
 )
-from .covariates import CovariateModelSpec, covariate_family
 from .fitters import FitError
 from .formula import Term, design_from_arrays, parse_formula, response_arrays
 from .pooling import PoolError, fit_each, pool
 from .rng import stream, subsequence
-from .substantive import FAMILIES
+from .substantive import FAMILIES, CovariateModelSpec, covariate_family
 
 __all__ = [
     "ScenarioConfig",

@@ -1,4 +1,5 @@
-"""Model families: one object per family, plus the acceptance ratios.
+"""Model families: one object per family, their parameters, the
+covariate-model spec, and the acceptance ratios.
 
 The rejection sampler that imputes a covariate draws candidates from the
 covariate's conditional model and accepts with probability equal to the
@@ -18,20 +19,21 @@ A family object (registered in FAMILIES under its public name) owns
 everything that differs between families: preparing the response once per
 run, the warm-started fit, the posterior draw, the response parts of a set
 of rows, the log acceptance ratio, and the reference quantile of a
-complete-data interval.  The normal linear and logistic objects also serve
-as covariate models, which add a posterior draw of the bare coefficients
-and direct sampling.  Methods call the fitters through this module's
-globals, so a wrapper rebound there sees every call.
+complete-data interval.  Every draw is a `Params`.  The normal linear and
+logistic objects are also the covariate models: a `CovariateModelSpec`
+holds one with its formula, and adds a posterior draw and direct sampling.
+Methods call the fitters through this module's globals, so a wrapper
+rebound there sees every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, log_expit, ndtri, stdtrit
 
-from .dataset import DataError
+from .dataset import DataError, VariableKind
 from .fitters import (
     FitError,
     StepCumHazard,
@@ -43,7 +45,7 @@ from .fitters import (
     fit_linear,
     fit_logistic,
 )
-from .formula import FormulaError, ModelFormula, design_matrix, response_arrays
+from .formula import FormulaError, ModelFormula, Term, design_matrix, response_arrays
 
 __all__ = [
     "FAMILIES",
@@ -51,7 +53,11 @@ __all__ = [
     "NormalLinear",
     "Logistic",
     "Cox",
+    "Params",
     "SubstantiveParams",
+    "CovariateModelSpec",
+    "covariate_family",
+    "outcome_family",
     "log_ratio_normal",
     "log_ratio_discrete",
     "log_ratio_cox",
@@ -61,19 +67,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SubstantiveParams:
-    """Outcome-model parameters: coefficients plus family extras."""
+class Params:
+    """Drawn model parameters: coefficients plus the family's extra."""
 
-    family: str
     beta: np.ndarray
     sigma2: float | None = None  # normal_linear
     baseline: StepCumHazard | None = None  # cox
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        FAMILIES[self.family].validate(self)
+
+def SubstantiveParams(family: str, beta, sigma2=None, baseline=None) -> Params:
+    """Outcome-model parameters for `family`; ValueError if its extra is missing."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    params = Params(np.asarray(beta, dtype=float), sigma2, baseline)
+    FAMILIES[family].validate(params)
+    return params
 
 
 # -- log ratios (vectorized over g) -----------------------------------------
@@ -123,7 +131,7 @@ class Family:
     survival = False  # the response is (time, event)
     binary = False  # the response is 0/1
 
-    def validate(self, params: SubstantiveParams) -> None:
+    def validate(self, params: Params) -> None:
         """Raise ValueError if `params` lacks a family extra."""
 
     def prepare(self, y):
@@ -134,15 +142,19 @@ class Family:
         """MLE, warm-started at `warm` where the fitter iterates; FitError on failure."""
         raise NotImplementedError
 
-    def draw(self, fit, X, response, rng) -> SubstantiveParams:
-        """One draw of the outcome-model parameters from their posterior."""
+    def posterior(self, fit, rng) -> Params:
+        """One posterior draw of a covariate model's parameters."""
         raise NotImplementedError
 
-    def y_parts(self, formula: ModelFormula, psi: SubstantiveParams, cols, rows) -> tuple:
+    def draw(self, fit, X, response, rng) -> Params:
+        """One draw of the outcome-model parameters from their posterior."""
+        return self.posterior(fit, rng)
+
+    def y_parts(self, formula: ModelFormula, psi: Params, cols, rows) -> tuple:
         """The response quantities the acceptance ratio needs, for `rows`."""
         return (cols[formula.response][rows],)
 
-    def log_ratio(self, psi: SubstantiveParams, parts: tuple, g):
+    def log_ratio(self, psi: Params, parts: tuple, g):
         """Log acceptance ratio at linear predictor `g`."""
         raise NotImplementedError
 
@@ -162,16 +174,17 @@ class NormalLinear(Family):
         return fit_linear(X, response)
 
     def posterior(self, fit, rng):
-        """(beta, sigma2) drawn from the posterior; sigma2 is 0 after a perfect fit."""
-        return draw_linear_posterior(fit, rng)
+        """sigma2 is 0 after a perfect fit."""
+        beta, sigma2 = draw_linear_posterior(fit, rng)
+        return Params(beta, sigma2)
 
     def draw(self, fit, X, response, rng):
-        beta, sigma2 = self.posterior(fit, rng)
+        params = self.posterior(fit, rng)
         # the acceptance ratio divides by sigma2; as a covariate model a zero
         # variance is fine and sampling returns the mean
-        if sigma2 <= 0:
+        if params.sigma2 <= 0:
             raise FitError("degenerate residual variance in substantive draw")
-        return SubstantiveParams(family=self.name, beta=beta, sigma2=sigma2)
+        return params
 
     def log_ratio(self, psi, parts, g):
         return log_ratio_normal(*parts, g, psi.sigma2)
@@ -195,10 +208,7 @@ class Logistic(Family):
         return fit
 
     def posterior(self, fit, rng):
-        return draw_glm_posterior(fit, rng), None
-
-    def draw(self, fit, X, response, rng):
-        return SubstantiveParams(family=self.name, beta=draw_glm_posterior(fit, rng))
+        return Params(draw_glm_posterior(fit, rng))
 
     def log_ratio(self, psi, parts, g):
         return log_ratio_discrete(*parts, g)
@@ -225,7 +235,7 @@ class Cox(Family):
 
     def draw(self, fit, X, response, rng):
         beta, baseline = draw_cox_posterior(fit, X, response.time, response.event, rng)
-        return SubstantiveParams(family=self.name, beta=beta, baseline=baseline)
+        return Params(beta, baseline=baseline)
 
     def y_parts(self, formula, psi, cols, rows):
         time_name, event_name = formula.response
@@ -238,7 +248,8 @@ class Cox(Family):
 FAMILIES = {family.name: family for family in (NormalLinear(), Logistic(), Cox())}
 
 
-def _outcome_family(family: str, formula: ModelFormula) -> Family:
+def outcome_family(family: str, formula: ModelFormula) -> Family:
+    """The family object named `family`, checked against the formula's response."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     model = FAMILIES[family]
@@ -247,12 +258,43 @@ def _outcome_family(family: str, formula: ModelFormula) -> Family:
     return model
 
 
+def covariate_family(kind: VariableKind) -> str:
+    """The covariate-model family for a column kind."""
+    return "logistic" if kind is VariableKind.BINARY else "normal_linear"
+
+
+@dataclass(frozen=True)
+class CovariateModelSpec:
+    """Model for one partial covariate given the other variables.
+
+    Holds its family object (`model`) and the formula target ~ predictors.
+    """
+
+    target: str
+    family: str
+    predictors: tuple[Term, ...]
+    intercept: bool = True
+    model: Family = field(init=False, repr=False, compare=False)
+    formula: ModelFormula = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        model = FAMILIES.get(self.family)
+        if model is None or model.survival:
+            raise ValueError(f"unknown covariate family {self.family!r}")
+        formula = ModelFormula(self.target, tuple(self.predictors), self.intercept)
+        if self.target in formula.variables:
+            raise ValueError(f"target {self.target} may not appear among its predictors")
+        object.__setattr__(self, "predictors", formula.terms)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "formula", formula)
+
+
 def substantive_estimates(family: str, formula: ModelFormula, d, response=None):
     """(estimate vector, squared-standard-error vector) of one completed-data fit.
 
     `response` is the family's prepared response of d; None prepares it here.
     """
-    model = _outcome_family(family, formula)
+    model = outcome_family(family, formula)
     X = design_matrix(formula, d)
     if response is None:
         response = model.prepare(*response_arrays(formula, d))
@@ -264,7 +306,7 @@ def shared_response(family: str, formula: ModelFormula, datasets):
     """The prepared response of every dataset when all their response arrays
     are equal, as when only covariates were imputed; else None.  Also None
     when a dataset lacks a complete response, which its own fit reports."""
-    model = _outcome_family(family, formula)
+    model = outcome_family(family, formula)
     try:
         arrays = [response_arrays(formula, d) for d in datasets]
     except (DataError, FormulaError):

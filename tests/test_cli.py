@@ -207,6 +207,15 @@ def test_impute_outcome_model_data_error_names_the_smodel_flag(quad_files, capsy
     assert f"--smodel: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("covmodel", ["x ~ x + y", "x ~ x^2"])
+def test_impute_covmodel_with_its_target_among_predictors_is_usage_error(
+        quad_files, capsys, covmodel):
+    tmp, data, schema = quad_files
+    argv = impute_args(data, schema, tmp / "o.csv", extra=("--covmodel", covmodel))
+    assert run(argv) == 2
+    assert "--covmodel: target x may not appear among its predictors" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tail, bad_row, cells", [
     ("\n", 5, 0),  # trailing blank line
     ("2,0.5\n", 5, 2),  # short row

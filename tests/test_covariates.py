@@ -1,15 +1,16 @@
+"""The covariate models: a spec's family object fits, draws and samples.
+
+Each test goes through the calls the engines make: the spec's design
+(`spec.formula` on the data), `spec.model.fit` and `.posterior`, then
+`.sample` or `.log_ratio` at the rows' linear predictor.
+"""
+
 import numpy as np
 import pytest
 from scipy.special import expit
 from scipy.stats import chisquare, kstest
 
-from smcimpute.covariates import (
-    CovariateModelSpec,
-    CovariateParams,
-    fit_and_draw_arrays,
-    log_conditional_density,
-    sample_covariate,
-)
+from smcimpute.covariates import CovariateModelSpec, CovariateParams
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.fitters import FitError
 from smcimpute.formula import Term, design_from_arrays
@@ -34,16 +35,35 @@ def linear_spec(target="x", predictors=(Term((("z", 1),)),)):
     return CovariateModelSpec(target=target, family="normal_linear", predictors=predictors)
 
 
+def logistic_spec():
+    return CovariateModelSpec(target="b", family="logistic", predictors=(Term((("z", 1),)),))
+
+
+def design(spec, cols, n):
+    """The covariate model's design on `cols`, as the engines build it."""
+    return design_from_arrays(spec.formula.terms, spec.formula.intercept, cols, n)
+
+
 def spec_design(spec, d):
-    """The covariate model's design on every row of `d`, as the engines build it."""
-    cols = {v: d.column(v).values for v in spec.predictor_variables}
-    return design_from_arrays(spec.predictors, spec.intercept, cols, d.n)
+    return design(spec, {v: d.column(v).values for v in spec.formula.variables}, d.n)
+
+
+def fit_and_draw(spec, X, y, rng):
+    """One fit and posterior draw of the covariate model, as each sweep takes it."""
+    return spec.model.posterior(spec.model.fit(X, y), rng)
+
+
+def sample(spec, params, z, rng, size):
+    """`size` covariate draws at predictor value `z`."""
+    mu = design(spec, {"z": np.full(size, z)}, size) @ params.beta
+    return spec.model.sample(params, mu, rng)
 
 
 def mass(spec, params, z, value):
-    """Bernoulli mass of `value` at the single predictor value `z`."""
-    return float(np.exp(log_conditional_density(spec, params, {"z": np.array([z])},
-                                                np.array([value]), 1))[0])
+    """Bernoulli mass of `value` at the single predictor value `z`, as the
+    compatible sampler's enumeration weighs a support point."""
+    mu = design(spec, {"z": np.array([z])}, 1) @ params.beta
+    return float(np.exp(spec.model.log_ratio(params, (np.array([value]),), mu))[0])
 
 
 def test_target_not_allowed_in_predictors():
@@ -64,8 +84,8 @@ def test_fit_subjects_equal_when_target_complete():
     spec = linear_spec()
     X, obs = spec_design(spec, d), d.column("x").observed
     # smcfcs fits on all subjects, fcs on those with the target observed
-    a, _ = fit_and_draw_arrays(spec, X, x, np.random.default_rng(7))
-    b, _ = fit_and_draw_arrays(spec, X[obs], x[obs], np.random.default_rng(7))
+    a = fit_and_draw(spec, X, x, np.random.default_rng(7))
+    b = fit_and_draw(spec, X[obs], x[obs], np.random.default_rng(7))
     np.testing.assert_array_equal(a.beta, b.beta)
     assert a.sigma2 == b.sigma2
 
@@ -75,7 +95,7 @@ def test_intercept_only_spec_draws_single_coefficient():
     x = rng.normal(2.0, 1.0, 50)
     d = dataset([("x", C, PART, x, np.ones(50))])
     spec = CovariateModelSpec(target="x", family="normal_linear", predictors=())
-    params, _ = fit_and_draw_arrays(spec, spec_design(spec, d), x, np.random.default_rng(2))
+    params = fit_and_draw(spec, spec_design(spec, d), x, np.random.default_rng(2))
     assert params.beta.shape == (1,)
     assert params.sigma2 > 0
 
@@ -87,40 +107,35 @@ def test_logistic_all_zero_target_flagged():
         ("b", B, PART, np.zeros(40), np.ones(40)),
         ("z", C, COMP, z, np.ones(40)),
     ])
-    spec = CovariateModelSpec(target="b", family="logistic",
-                              predictors=(Term((("z", 1),)),))
+    spec = logistic_spec()
     with pytest.raises(FitError):
-        fit_and_draw_arrays(spec, spec_design(spec, d), np.zeros(40), np.random.default_rng(4))
+        fit_and_draw(spec, spec_design(spec, d), np.zeros(40), np.random.default_rng(4))
 
 
 def test_sample_degenerate_variance_returns_mean():
     spec = linear_spec()
     params = CovariateParams(beta=np.array([1.0, 2.0]), sigma2=0.0)
-    value = sample_covariate(spec, params, {"z": np.array([3.0])}, np.random.default_rng(0), 1)
+    value = sample(spec, params, 3.0, np.random.default_rng(0), 1)
     assert value == pytest.approx([7.0])
 
 
 def test_sample_logistic_limit():
-    spec = CovariateModelSpec(target="b", family="logistic",
-                              predictors=(Term((("z", 1),)),))
+    spec = logistic_spec()
     params = CovariateParams(beta=np.array([0.0, 60.0]))
-    draws = sample_covariate(spec, params, {"z": np.ones(200)}, np.random.default_rng(1), 200)
+    draws = sample(spec, params, 1.0, np.random.default_rng(1), 200)
     assert np.all(draws == 1.0)
 
 
 def test_sample_normal_monte_carlo_mean():
     spec = linear_spec()
     params = CovariateParams(beta=np.array([0.5, 1.5]), sigma2=4.0)
-    draws = sample_covariate(
-        spec, params, {"z": np.full(10_000, 2.0)}, np.random.default_rng(2), 10_000
-    )
+    draws = sample(spec, params, 2.0, np.random.default_rng(2), 10_000)
     # 3 sigma / sqrt(10^4) = 3 * 2 / 100
     assert abs(draws.mean() - 3.5) < 3.0 * 2.0 / 100.0
 
 
 def test_conditional_density_values():
-    spec = CovariateModelSpec(target="b", family="logistic",
-                              predictors=(Term((("z", 1),)),))
+    spec = logistic_spec()
     params = CovariateParams(beta=np.array([0.0, 0.0]))
     assert mass(spec, params, 1.0, 0.0) == pytest.approx(0.5)
     assert mass(spec, params, 1.0, 1.0) == pytest.approx(0.5)
@@ -129,8 +144,7 @@ def test_conditional_density_values():
 
 
 def test_binary_masses_sum_to_one():
-    spec = CovariateModelSpec(target="b", family="logistic",
-                              predictors=(Term((("z", 1),)),))
+    spec = logistic_spec()
     params = CovariateParams(beta=np.array([0.4, -1.2]))
     for z in (-2.0, 0.0, 1.7):
         total = mass(spec, params, z, 0.0) + mass(spec, params, z, 1.0)
@@ -140,22 +154,17 @@ def test_binary_masses_sum_to_one():
 def test_normal_samples_match_density_kolmogorov_smirnov():
     spec = linear_spec()
     params = CovariateParams(beta=np.array([1.0, 2.0]), sigma2=2.25)
-    draws = sample_covariate(
-        spec, params, {"z": np.full(10_000, 0.5)}, np.random.default_rng(5), 10_000
-    )
+    draws = sample(spec, params, 0.5, np.random.default_rng(5), 10_000)
     stat = kstest(draws, "norm", args=(2.0, 1.5))
     assert stat.pvalue > 0.001
 
 
 def test_binary_samples_match_mass_chi_square():
-    spec = CovariateModelSpec(target="b", family="logistic",
-                              predictors=(Term((("z", 1),)),))
+    spec = logistic_spec()
     params = CovariateParams(beta=np.array([0.3, 0.9]))
     z = 0.7
     p1 = expit(0.3 + 0.9 * z)
-    draws = sample_covariate(
-        spec, params, {"z": np.full(10_000, z)}, np.random.default_rng(6), 10_000
-    )
+    draws = sample(spec, params, z, np.random.default_rng(6), 10_000)
     observed = np.array([np.sum(draws == 0.0), np.sum(draws == 1.0)])
     expected = np.array([(1 - p1) * 10_000, p1 * 10_000])
     assert chisquare(observed, expected).pvalue > 0.001
@@ -173,8 +182,7 @@ def test_fit_on_all_after_completion_succeeds():
     ])
     spec = linear_spec()
     X = spec_design(spec, d)
-    fit_and_draw_arrays(spec, X[obs], x[obs], np.random.default_rng(9))
+    fit_and_draw(spec, X[obs], x[obs], np.random.default_rng(9))
     filled = d.with_values({"x": np.where(obs, x, 0.0)})
-    params, _ = fit_and_draw_arrays(spec, X, filled.column("x").values,
-                                    np.random.default_rng(10))
+    params = fit_and_draw(spec, X, filled.column("x").values, np.random.default_rng(10))
     assert np.all(np.isfinite(params.beta)) and params.sigma2 > 0

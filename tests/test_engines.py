@@ -360,9 +360,9 @@ def test_default_covariate_specs_shapes():
     ])
     smc = {s.target: s for s in default_covariate_specs(d, "smcfcs")}
     assert smc["x1"].family == "logistic"
-    assert smc["x1"].predictor_variables == ("x2", "z")
+    assert smc["x1"].formula.variables == ("x2", "z")
     fcs = {s.target: s for s in default_covariate_specs(d, "fcs")}
-    assert fcs["x2"].predictor_variables == ("x1", "z", "y")
+    assert fcs["x2"].formula.variables == ("x1", "z", "y")
 
 
 def test_linear_substantive_smcfcs_agrees_with_fcs():
@@ -433,19 +433,22 @@ def test_fcs_survival_materializes_cumhaz():
 
 
 def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
-    import smcimpute.engines as engines
     from smcimpute.fitters import FitError
+    from smcimpute.substantive import NormalLinear
 
-    real = engines.fit_and_draw_arrays
+    real = NormalLinear.posterior
     calls = {"n": 0}
 
     def fail_third_call(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] == 3:  # chain 1, sweep 3: two sweeps already recorded
+        # the outcome and the covariate draw once each per sweep, so the
+        # third draw is chain 1's outcome draw in sweep 2, after one sweep
+        # has been recorded
+        if calls["n"] == 3:
             raise FitError("forced")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engines, "fit_and_draw_arrays", fail_third_call)
+    monkeypatch.setattr(NormalLinear, "posterior", fail_third_call)
     d = quadratic_data(n=120, seed=4)
     cfg = smcfcs_quadratic_config(m=2, iterations=4)
     diag = run_smcfcs(d, cfg).diagnostics

@@ -59,7 +59,7 @@ def test_pool_needs_two_imputations():
         max_size=12,
     )
 )
-@example(data=[(0.1, 1.0)] * 3)  # the mean of three 0.1s rounds
+@example(data=[(0.1, 1.0)] * 3)  # the mean of three 0.1s rounds up an ulp
 @settings(max_examples=150)
 def test_pool_invariants(data):
     est = np.array([[e] for e, _ in data])
@@ -67,6 +67,7 @@ def test_pool_invariants(data):
     p = pool(est, var)
     assert p.total_var[0] >= p.within_var[0] - 1e-12
     if np.all(est == est[0]):
+        assert p.point[0] == est[0, 0]
         assert p.between_var[0] == 0.0
         assert p.df[0] == np.inf
         assert p.total_var[0] == p.within_var[0]

@@ -345,7 +345,7 @@ def test_study_scale_smcfcs_runs_need_no_fallback():
             covariate_specs=default_covariate_specs(d, "smcfcs"),
         )
         result = run_smcfcs(d, engine_cfg, rng=subsequence(55, dgp, "engine"))
-        assert result.diagnostics.total_fallbacks() == 0
+        assert sum(result.diagnostics.fallbacks.values()) == 0
         for target in result.diagnostics.proposals:
             assert result.diagnostics.mean_acceptance(target) > 0.0
 

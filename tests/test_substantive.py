@@ -18,10 +18,13 @@ FORMULAS = {
 }
 
 
-def ratio(params, x, **response):
+def ratio(family_params, x, **response):
     """Acceptance ratio of one row with predictor x, through the family's
-    response parts and log ratio as the compatible sampler computes it."""
-    model, formula = FAMILIES[params.family], FORMULAS[params.family]
+    response parts and log ratio as the compatible sampler computes it.
+
+    `family_params` is a (family name, parameters) pair."""
+    family, params = family_params
+    model, formula = FAMILIES[family], FORMULAS[family]
     cols = {name: np.array([value], dtype=float) for name, value in response.items()}
     parts = model.y_parts(formula, params, cols, np.arange(1))
     g = design_from_arrays(formula.terms, formula.intercept, {"x": np.array([x])}, 1) @ params.beta
@@ -29,11 +32,16 @@ def ratio(params, x, **response):
 
 
 def normal_params(beta, sigma2):
-    return SubstantiveParams(family="normal_linear", beta=np.asarray(beta), sigma2=sigma2)
+    return "normal_linear", SubstantiveParams(family="normal_linear", beta=np.asarray(beta),
+                                              sigma2=sigma2)
+
+
+def logistic_params(beta):
+    return "logistic", SubstantiveParams(family="logistic", beta=np.asarray(beta))
 
 
 def cox_params(beta, knots, cumvals):
-    return SubstantiveParams(
+    return "cox", SubstantiveParams(
         family="cox", beta=np.asarray(beta),
         baseline=StepCumHazard(np.asarray(knots), np.asarray(cumvals)),
     )
@@ -57,18 +65,18 @@ def test_normal_ratio_vanishes_in_the_tail():
 
 
 def test_discrete_ratio_half_at_zero():
-    p = SubstantiveParams(family="logistic", beta=np.array([0.0]))
+    p = logistic_params([0.0])
     assert ratio(p, 1.0, y=0) == pytest.approx(0.5)
     assert ratio(p, 1.0, y=1) == pytest.approx(0.5)
 
 
 def test_discrete_ratio_limit_one():
-    p = SubstantiveParams(family="logistic", beta=np.array([50.0]))
+    p = logistic_params([50.0])
     assert ratio(p, 1.0, y=1) == pytest.approx(1.0)
 
 
 def test_discrete_ratio_expit_value():
-    p = SubstantiveParams(family="logistic", beta=np.array([math.log(3.0)]))
+    p = logistic_params([math.log(3.0)])
     assert ratio(p, 1.0, y=1) == pytest.approx(0.75)
 
 
@@ -137,7 +145,7 @@ def test_cox_event_ratio_unimodal_in_g():
 
 
 def test_logistic_ratios_sum_to_one():
-    p = SubstantiveParams(family="logistic", beta=np.array([0.83]))
+    p = logistic_params([0.83])
     for g in (-4.0, -0.5, 0.0, 2.2):
         total = ratio(p, g / 0.83, y=0) + ratio(p, g / 0.83, y=1)
         assert total == pytest.approx(1.0)
@@ -153,7 +161,7 @@ def test_logistic_ratios_sum_to_one():
 def test_ratios_are_probabilities(y, g, sigma2, cumhaz):
     pn = normal_params([1.0], sigma2)
     assert 0.0 <= ratio(pn, g, y=y) <= 1.0
-    pl = SubstantiveParams(family="logistic", beta=np.array([1.0]))
+    pl = logistic_params([1.0])
     assert 0.0 <= ratio(pl, g, y=1) <= 1.0
     pc = cox_params([1.0], [1.0], [cumhaz])
     assert 0.0 <= ratio(pc, g, t=2.0, d=0) <= 1.0
@@ -193,9 +201,9 @@ def test_draw_substantive_normal_perfect_fit_degenerate():
     # the covariate role keeps the degenerate draw (beta, 0)
     model = FAMILIES["normal_linear"]
     fit = model.fit(design_matrix(f, d), model.prepare(*response_arrays(f, d)))
-    beta, sigma2 = model.posterior(fit, np.random.default_rng(0))
-    np.testing.assert_allclose(beta, [2.0, 3.0], atol=1e-10)
-    assert sigma2 == 0.0
+    params = model.posterior(fit, np.random.default_rng(0))
+    np.testing.assert_allclose(params.beta, [2.0, 3.0], atol=1e-10)
+    assert params.sigma2 == 0.0
 
 
 def test_draw_substantive_cox_baseline_jumps_at_event_times():
