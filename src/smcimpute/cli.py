@@ -299,12 +299,9 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SMCFCS_THREADS", "1"))
-    if threads < 1:
+    if args.threads < 1:
         _fail("--threads", "must be >= 1")
-    summary = run_scenario(cfg, threads=threads)
+    summary = run_scenario(cfg, threads=args.threads)
     atomic_write_text(args.out, summary.to_csv_text())
     print(f"{cfg.name}: {summary.n_used}/{summary.n_reps} replications pooled",
           file=sys.stderr)
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="builtin name or JSON config path")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
     return parser

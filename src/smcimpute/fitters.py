@@ -1,11 +1,13 @@
 """Maximum-likelihood fitters, posterior draws, and hazard estimators.
 
-Newton-Raphson fits (logistic, Cox) iterate until the score norm drops below
-1e-8 or 50 iterations, with step halving whenever a step would decrease the
-log-likelihood by more than a relative 1e-12.  Divergence (separation in
-logistic regression, monotone partial likelihood in Cox regression) is
-declared when any coefficient exceeds 30 on the scale of its standardized
-predictor.
+The logistic and Cox fits run one Newton-Raphson loop, `_newton`.  It
+evaluates the log-likelihood, score and information once per candidate step,
+halves a step whenever it would decrease the log-likelihood by more than a
+relative 1e-12, and stops when the score norm drops below 1e-8.  Divergence
+(separation in logistic regression, monotone partial likelihood in Cox
+regression) is declared when any coefficient exceeds 30 on the scale of its
+standardized predictor.  Every fit failure, divergence and 50 iterations
+without convergence included, raises FitError with the fit's own message.
 
 Every symmetric positive-definite solve (normal equations, Newton step,
 inverse information) goes through one numpy Cholesky factorization, as does
@@ -91,6 +93,43 @@ def _spd_solve(a, b, message: str) -> np.ndarray:
     return lower_inv.T @ (lower_inv @ b)
 
 
+def _inverse_information(info, message: str) -> np.ndarray:
+    """Covariance of a Newton fit: the inverse information, symmetrized."""
+    cov = _spd_solve(info, np.eye(info.shape[0]), message)
+    return 0.5 * (cov + cov.T)
+
+
+def _newton(loglik, X, beta0, *, singular: str, diverged: str, stalled: str):
+    """Newton-Raphson maximization of `loglik(beta) -> (ll, score, info)`.
+
+    Starts at beta0 (zeros when None); the design X scales the divergence
+    check.  Each candidate step costs one loglik call, and the accepted
+    candidate's score and information drive the next step.  Returns (beta,
+    info, iterations) once the score norm is below SCORE_TOL.  Raises
+    FitError(singular) on an information matrix that is not positive
+    definite, FitError(diverged) when a coefficient diverges, and
+    FitError(stalled) after MAX_ITER iterations.
+    """
+    scales = _coef_scales(X)
+    beta = np.zeros(X.shape[1]) if beta0 is None else np.asarray(beta0, dtype=float)
+    ll, score, info = loglik(beta)
+    for iterations in range(1, MAX_ITER + 1):
+        step = _spd_solve(info, score, singular)
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta + scale * step
+            ll_new, score_new, info_new = loglik(candidate)
+            if ll_new >= ll - HALVING_TOL * max(1.0, abs(ll)):
+                break
+            scale *= 0.5
+        beta, ll, score, info = candidate, ll_new, score_new, info_new
+        if _diverged(beta, scales):
+            raise FitError(diverged)
+        if np.linalg.norm(score) < SCORE_TOL:
+            return beta, info, iterations
+    raise FitError(stalled)
+
+
 def multivariate_normal_draw(mean, cov, rng) -> np.ndarray:
     """One draw from N(mean, cov) via the Cholesky factor of cov."""
     mean = np.asarray(mean, dtype=float)
@@ -160,7 +199,6 @@ def draw_linear_posterior(fit: LinearFit, rng) -> tuple[np.ndarray, float]:
 class GlmFit:
     beta: np.ndarray
     covariance: np.ndarray  # inverse observed information at the MLE
-    converged: bool
     iterations: int
 
     def coef_variances(self) -> np.ndarray:
@@ -180,51 +218,25 @@ def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray):
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) -> GlmFit:
-    """Newton-Raphson MLE; separation is reported via converged=False."""
+    """Newton-Raphson MLE; FitError on separation or non-convergence."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise FitError("logistic response must be 0/1")
-    n, k = X.shape
-    scales = _coef_scales(X)
-    beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    ll, score, info = logistic_loglik(X, y, beta)
-    iterations = 0
-    converged = False
-    for iterations in range(1, MAX_ITER + 1):
-        step = _spd_solve(info, score, "observed information is singular")
-        scale = 1.0
-        for _ in range(30):
-            candidate = beta + scale * step
-            ll_new, score_new, info_new = logistic_loglik(X, y, candidate)
-            if ll_new >= ll - HALVING_TOL * max(1.0, abs(ll)):
-                break
-            scale *= 0.5
-        beta, ll, score, info = candidate, ll_new, score_new, info_new
-        if _diverged(beta, scales):
-            return GlmFit(beta=beta, covariance=np.full((k, k), np.nan), converged=False,
-                          iterations=iterations)
-        if np.linalg.norm(score) < SCORE_TOL:
-            # the score also vanishes under separation, where every response is
-            # predicted perfectly and the information matrix degenerates
-            p_hat = expit(X @ beta)
-            if np.max(np.abs(y - p_hat)) < 1e-6:
-                return GlmFit(beta=beta, covariance=np.full((k, k), np.nan),
-                              converged=False, iterations=iterations)
-            converged = True
-            break
-    if not converged:
-        return GlmFit(beta=beta, covariance=np.full((k, k), np.nan), converged=False,
-                      iterations=iterations)
-    cov = _spd_solve(info, np.eye(k), "observed information is singular at the MLE")
-    cov = 0.5 * (cov + cov.T)
-    return GlmFit(beta=beta, covariance=cov, converged=True, iterations=iterations)
+    failed = "logistic fit did not converge (separation?)"
+    beta, info, iterations = _newton(
+        lambda b: logistic_loglik(X, y, b), X, beta0,
+        singular="observed information is singular", diverged=failed, stalled=failed)
+    # the score also vanishes under separation, where every response is
+    # predicted perfectly and the information matrix degenerates
+    if np.max(np.abs(y - expit(X @ beta))) < 1e-6:
+        raise FitError(failed)
+    cov = _inverse_information(info, "observed information is singular at the MLE")
+    return GlmFit(beta=beta, covariance=cov, iterations=iterations)
 
 
 def draw_glm_posterior(fit: GlmFit, rng) -> np.ndarray:
     """Asymptotic-normal posterior draw: N(MLE, inverse observed information)."""
-    if not fit.converged:
-        raise FitError("cannot draw from a non-converged fit")
     return multivariate_normal_draw(fit.beta, fit.covariance, rng)
 
 
@@ -328,11 +340,6 @@ def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndar
     return ll, score, info
 
 
-def _cox_loglik_only(layout: CoxLayout, xs, beta):
-    eta, _, s0 = _risk_set_sums(xs, beta)
-    return float(eta[layout.ds].sum() - (layout.d_count * np.log(s0[layout.risk_start])).sum())
-
-
 @dataclass(frozen=True)
 class CoxFit:
     beta: np.ndarray
@@ -362,36 +369,16 @@ def fit_cox(
         raise FitError("survival times must be strictly positive")
     if not np.any(event == 1.0):
         raise FitError("no events observed")
-    n, k = X.shape
-    scales = _coef_scales(X)
     if np.any(X.std(axis=0) == 0):
         raise FitError("constant covariate column in Cox design")
     if layout is None:
         layout = cox_layout(time, event)
-    xs = X[layout.order]
-    beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    ll, score, info = cox_loglik(X, time, event, beta, layout=layout)
-    converged = False
-    for _ in range(MAX_ITER):
-        step = _spd_solve(info, score, "Cox information matrix is singular")
-        scale = 1.0
-        for _ in range(30):
-            candidate = beta + scale * step
-            ll_new = _cox_loglik_only(layout, xs, candidate)
-            if ll_new >= ll - HALVING_TOL * max(1.0, abs(ll)):
-                break
-            scale *= 0.5
-        beta = candidate
-        ll, score, info = cox_loglik(X, time, event, beta, layout=layout)
-        if _diverged(beta, scales):
-            raise FitError("monotone partial likelihood (diverging coefficients)")
-        if np.linalg.norm(score) < SCORE_TOL:
-            converged = True
-            break
-    if not converged:
-        raise FitError("Cox fit did not converge")
-    cov = _spd_solve(info, np.eye(k), "Cox information matrix is singular at the MLE")
-    cov = 0.5 * (cov + cov.T)
+    beta, info, _ = _newton(
+        lambda b: cox_loglik(X, time, event, b, layout=layout), X, beta0,
+        singular="Cox information matrix is singular",
+        diverged="monotone partial likelihood (diverging coefficients)",
+        stalled="Cox fit did not converge")
+    cov = _inverse_information(info, "Cox information matrix is singular at the MLE")
     baseline = breslow_baseline(X, time, event, beta, layout=layout)
     return CoxFit(beta=beta, covariance=cov, baseline=baseline, layout=layout)
 
@@ -407,6 +394,8 @@ def breslow_baseline(X, time, event, beta, layout: CoxLayout | None = None) -> S
     denom = s0[layout.risk_start]
     if np.any(denom <= 0):
         raise FitError("empty risk set at an event time")
+    if not np.all(np.isfinite(denom)):
+        raise FitError("risk-set sum overflows at an event time")
     jumps = layout.d_count / denom
     return StepCumHazard(knots=layout.ev_times, cumvals=np.cumsum(jumps))
 

@@ -202,10 +202,7 @@ class Logistic(Family):
     binary = True
 
     def fit(self, X, response, warm=None):
-        fit = fit_logistic(X, response, beta0=warm)
-        if not fit.converged:
-            raise FitError("logistic fit did not converge (separation?)")
-        return fit
+        return fit_logistic(X, response, beta0=warm)
 
     def posterior(self, fit, rng):
         return Params(draw_glm_posterior(fit, rng))

@@ -142,6 +142,21 @@ def test_simulate_threads_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_ignores_a_threads_environment_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("SMCFCS_THREADS", "two")
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--scenario", "quad-normal-mcar", "--reps", 1,
+                "--out", out]) == 0
+    assert out.exists()
+
+
+def test_simulate_zero_threads_is_usage_error(tmp_path, capsys):
+    code = run(["simulate", "--scenario", "quad-normal-mcar", "--reps", 1,
+                "--threads", 0, "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+
+
 def test_simulate_scenario_json_file(tmp_path):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(

@@ -98,13 +98,23 @@ def test_draw_linear_posterior_moments():
 
 def test_logistic_intercept_only_half():
     fit = fit_logistic(np.ones((2, 1)), np.array([0.0, 1.0]))
-    assert fit.converged
     assert fit.beta[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_logistic_separation_flagged():
-    fit = fit_logistic(np.ones((6, 1)), np.zeros(6))
-    assert not fit.converged
+    with pytest.raises(FitError, match="separation"):
+        fit_logistic(np.ones((6, 1)), np.zeros(6))
+
+
+@pytest.mark.parametrize("X, y", [
+    # x separates y: the slope runs off past the divergence threshold
+    (np.column_stack([np.ones(6), np.arange(6.0)]), np.array([0.0, 0, 0, 1, 1, 1])),
+    # the score vanishes while every response is predicted perfectly
+    (np.ones((6, 1)), np.ones(6)),
+])
+def test_logistic_divergence_and_vanishing_score_raise_separation(X, y):
+    with pytest.raises(FitError, match=r"^logistic fit did not converge \(separation\?\)$"):
+        fit_logistic(X, y)
 
 
 def test_logistic_matches_grid_search_oracle():
@@ -127,7 +137,6 @@ def test_logistic_matches_grid_search_oracle():
         lo, hi = best - span, best + span
 
     fit = fit_logistic(X, y)
-    assert fit.converged
     assert abs(fit.beta[0] - best) < 1e-5
 
 
@@ -137,9 +146,9 @@ def test_logistic_rejects_nonbinary_response():
 
 
 def test_glm_posterior_draw_requires_convergence():
-    fit = fit_logistic(np.ones((6, 1)), np.zeros(6))
+    # a non-converged fit cannot be made, so there is nothing to draw from
     with pytest.raises(FitError):
-        draw_glm_posterior(fit, rng0(0))
+        fit_logistic(np.ones((6, 1)), np.zeros(6))
 
 
 def test_glm_posterior_covariance_matches_fit():
@@ -411,7 +420,7 @@ def test_logistic_converges_at_n_1e5():
     y = (rng.random(n) < 0.5).astype(float)
     X = np.column_stack([np.ones(n), rng.normal(y, 1.0)])
     fit = fit_logistic(X, y)
-    assert fit.converged and fit.iterations < 10
+    assert fit.iterations < 10
     _, score, _ = logistic_loglik(X, y, fit.beta)
     assert np.linalg.norm(score) < 1e-8
 
@@ -502,3 +511,47 @@ def test_newton_fits_reject_indefinite_information(monkeypatch, family, loglik, 
     monkeypatch.setattr(fitters, loglik, lambda *a, **kw: (0.0, np.ones(2), indefinite))
     with pytest.raises(FitError, match=f"^{message}$"):
         _fit(family, rng0(32).normal(size=(60, 2)))
+
+
+@pytest.mark.parametrize("family, message", [
+    ("logistic", r"logistic fit did not converge \(separation\?\)"),
+    ("cox", "Cox fit did not converge"),
+], ids=["logistic", "cox"])
+def test_newton_fits_raise_after_max_iter(monkeypatch, family, message):
+    monkeypatch.setattr(fitters, "MAX_ITER", 1)
+    X = rng0(33).normal(size=(200, 2))
+    with pytest.raises(FitError, match=f"^{message}$"):
+        _fit(family, X)
+
+
+def test_cox_fit_makes_one_risk_set_pass_per_loglik_call(monkeypatch):
+    from smcimpute.simlab import gen_cox
+
+    d = gen_cox(300, rng0(34))
+    X = np.column_stack([d.column("x1").values, d.column("x2").values])
+    calls = {"cox_loglik": 0, "_risk_set_sums": 0}
+
+    def counted(name):
+        inner = getattr(fitters, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fitters, name, counted(name))
+    fit_cox(X, d.column("w").values, d.column("d").values)
+    assert calls["cox_loglik"] > 1
+    # the one extra pass is the Breslow baseline at the solution
+    assert calls["_risk_set_sums"] == calls["cox_loglik"] + 1
+
+
+def test_breslow_risk_set_overflow_is_a_fit_error():
+    # 2e4 rows at the eta clip of 700 sum past the largest double
+    rng = rng0(35)
+    n = 20_000
+    X = rng.normal(10.0, 1.0, size=(n, 1))
+    time = rng.exponential(1.0, n) + 1e-3
+    with np.errstate(over="ignore"), pytest.raises(FitError, match="overflows"):
+        breslow_baseline(X, time, np.ones(n), np.array([100.0]))
