@@ -3,11 +3,13 @@
 
     python scripts/fixed_seed_digests.py OUTDIR
 
-The set is 36 files: the CSV inputs of three datasets (linear quad, n=400;
+The set is 38 files: the CSV inputs of three datasets (linear quad, n=400;
 logistic with two partial covariates, n=300; Cox, n=300), `impute --m 5
 --iter 5 --seed 3` of each with fcs and with smcfcs plus their `.diag.csv`
-files, `analyze` of each smcfcs output, and `simulate --reps 2 --seed 7
---threads 1` of every builtin scenario.  Each line of output is
+files, the same fcs impute of the Cox data with explicit `--covmodel`s, one
+of which conditions on `_cumhaz`, plus its `.diag.csv`, `analyze` of each
+smcfcs output, and `simulate --reps 2 --seed 7 --threads 1` of every builtin
+scenario.  Each line of output is
 `name sha256[:12]`.  Two runs, or two versions of the package, produce the
 same bytes exactly when they print the same lines; run an older checkout
 through this script by putting its `src` on PYTHONPATH.
@@ -29,6 +31,9 @@ SMODELS = {  # dataset: (--family, --smodel)
     "quad": ("linear", "y ~ x + x^2"),
     "logit": ("logistic", "y ~ x1 + x2"),
     "cox": ("cox", "surv(w,d) ~ x1 + x2"),
+}
+COVMODELS = {  # dataset: the --covmodel flags of its extra fcs impute
+    "cox": ("x1 ~ x2 + d", "x2 ~ x1 + d + _cumhaz"),
 }
 
 
@@ -67,14 +72,15 @@ def write_set(outdir: Path) -> list[Path]:
             f"{c.name},{c.kind.value},{c.role.value}\n" for c in d.columns))
         files.append(data)
         family, smodel = SMODELS[name]
-        for method in ("fcs", "smcfcs"):
-            out = outdir / f"{name}.{method}.csv"
-            argv = ["impute", "--data", str(data), "--schema", str(schema),
-                    "--method", method, "--m", "5", "--iter", "5", "--seed", "3",
-                    "--out", str(out)]
-            if method == "smcfcs":
-                argv += ["--family", family, "--smodel", smodel]
-            run_cli(argv)
+        runs = [("fcs", "fcs", []), ("smcfcs", "smcfcs", ["--family", family, "--smodel", smodel])]
+        if name in COVMODELS:
+            runs.append(("fcs-covmodel", "fcs",
+                         [arg for text in COVMODELS[name] for arg in ("--covmodel", text)]))
+        for label, method, extra in runs:
+            out = outdir / f"{name}.{label}.csv"
+            run_cli(["impute", "--data", str(data), "--schema", str(schema),
+                     "--method", method, "--m", "5", "--iter", "5", "--seed", "3",
+                     "--out", str(out), *extra])
             files += [out, outdir / f"{out.name}.diag.csv"]
         pooled = outdir / f"{name}.analyze.csv"
         run_cli(["analyze", "--data", str(outdir / f"{name}.smcfcs.csv"),

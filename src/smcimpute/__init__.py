@@ -18,7 +18,6 @@ from .dataset import (
     write_csv,
 )
 from .engines import (
-    DerivedColumn,
     Diagnostics,
     EngineConfig,
     EngineFailure,
@@ -26,7 +25,7 @@ from .engines import (
     SubstantiveModelError,
     default_covariate_specs,
     jav_analysis_formula,
-    jav_config,
+    jav_dataset,
     run_fcs,
     run_smcfcs,
 )

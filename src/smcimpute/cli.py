@@ -30,6 +30,7 @@ from .dataset import (
     read_table,
 )
 from .engines import (
+    CUMHAZ,
     EngineConfig,
     EngineFailure,
     SubstantiveModelError,
@@ -46,7 +47,6 @@ from .substantive import CovariateModelSpec, covariate_family
 __all__ = ["main"]
 
 FAMILY_FLAGS = {"linear": "normal_linear", "logistic": "logistic", "cox": "cox"}
-CUMHAZ_NAME = "_cumhaz"  # reserved helper column for chained equations on survival data
 
 
 class CliError(Exception):
@@ -77,8 +77,8 @@ def read_schema(path):
                 role = VariableRole(row["role"])
             except ValueError as exc:
                 _fail("--schema", str(exc))
-            if row["name"] == "_imp":
-                _fail("--schema", "column name _imp is reserved")
+            if row["name"] in ("_imp", CUMHAZ):
+                _fail("--schema", f"column name {row['name']} is reserved")
             schema.append((row["name"], kind, role))
     if not schema:
         _fail("--schema", "no columns defined")
@@ -154,14 +154,8 @@ def _read_long_csv(path, schema):
 
 def _covariate_specs_from_flags(args, d):
     if not args.covmodel:
-        cumhaz = None
-        if args.method == "fcs" and any(
-            c.role is VariableRole.TIME for c in d.columns
-        ):
-            cumhaz = CUMHAZ_NAME
-        return default_covariate_specs(d, args.method, cumhaz_column=cumhaz), cumhaz
+        return default_covariate_specs(d, args.method)
     specs = []
-    cumhaz = None
     for text in args.covmodel:
         try:
             f = parse_formula(text)
@@ -172,8 +166,6 @@ def _covariate_specs_from_flags(args, d):
         target = f.response
         if not d.has_column(target):
             _fail("--covmodel", f"unknown target column {target!r}")
-        if any(v == CUMHAZ_NAME for t in f.terms for v in t.variables):
-            cumhaz = CUMHAZ_NAME
         try:
             specs.append(CovariateModelSpec(
                 target=target, family=covariate_family(d.column(target).kind),
@@ -181,7 +173,7 @@ def _covariate_specs_from_flags(args, d):
             ))
         except ValueError as exc:
             _fail("--covmodel", str(exc))
-    return tuple(specs), cumhaz
+    return tuple(specs)
 
 
 def cmd_impute(args) -> int:
@@ -191,6 +183,8 @@ def cmd_impute(args) -> int:
         _fail("--m", "must be >= 1")
     if args.iter is not None and args.iter < 1:
         _fail("--iter", "must be >= 1")
+    if args.seed < 0:
+        _fail("--seed", "must be >= 0")
     if args.method == "smcfcs":
         if not args.smodel:
             _fail("--smodel", "required when --method smcfcs")
@@ -203,7 +197,7 @@ def cmd_impute(args) -> int:
         substantive = (FAMILY_FLAGS[args.family], formula)
     else:
         substantive = None
-    specs, cumhaz = _covariate_specs_from_flags(args, d)
+    specs = _covariate_specs_from_flags(args, d)
     try:
         config = EngineConfig(
             method=args.method,
@@ -212,7 +206,6 @@ def cmd_impute(args) -> int:
             seed=args.seed,
             substantive=substantive,
             covariate_specs=specs,
-            cumhaz_column=cumhaz,
         )
     except ValueError as exc:
         _fail("--method", str(exc))
@@ -269,6 +262,8 @@ def cmd_analyze(args) -> int:
 def _load_scenario(args) -> ScenarioConfig:
     if args.reps is not None and args.reps < 1:
         _fail("--reps", "must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        _fail("--seed", "must be >= 0")
     catalog = builtin_scenarios()
     if args.scenario in catalog:
         cfg = catalog[args.scenario]
@@ -281,8 +276,6 @@ def _load_scenario(args) -> ScenarioConfig:
         if not isinstance(raw, dict):
             _fail("--scenario", "JSON must be an object of ScenarioConfig fields")
         raw.setdefault("name", os.path.splitext(os.path.basename(args.scenario))[0])
-        if "methods" in raw:
-            raw["methods"] = tuple(raw["methods"])
         try:
             cfg = ScenarioConfig(**raw)
         except (TypeError, ValueError) as exc:

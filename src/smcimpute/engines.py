@@ -18,9 +18,9 @@ Two engines share one chain skeleton:
 
 Both call the family objects of the substantive module directly.  Each of
 the M imputations runs an independent chain from a fresh random
-initialization.  Derived (passive) columns are recomputed from the latest
-base imputations and never sampled directly; the just-another-variable
-helper instead promotes derived terms to free-standing covariates.
+initialization.  A covariate model that names the reserved column CUMHAZ
+conditions on the marginal Nelson-Aalen cumulative hazard, which the engine
+adds to the dataset under that name.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .rng import stream, subsequence
 from .substantive import FAMILIES, CovariateModelSpec, Family, covariate_family, outcome_family
 
 __all__ = [
-    "DerivedColumn",
+    "CUMHAZ",
     "EngineConfig",
     "Diagnostics",
     "ImputationResult",
@@ -53,7 +53,7 @@ __all__ = [
     "SubstantiveModelError",
     "run_fcs",
     "run_smcfcs",
-    "jav_config",
+    "jav_dataset",
     "jav_analysis_formula",
     "default_covariate_specs",
     "smc_binary_probs",
@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 MAX_CHAIN_RETRIES = 5
+MAX_REJECTIONS = 100_000  # proposals per cell before the rejection sampler falls back
+CUMHAZ = "_cumhaz"  # reserved name of the marginal cumulative-hazard covariate
 DEFAULT_ITERATIONS = {"fcs": 10, "smcfcs": 20}
 
 
@@ -74,25 +76,13 @@ class SubstantiveModelError(DataError):
 
 
 @dataclass(frozen=True)
-class DerivedColumn:
-    """Passive column: a product of powers of other columns, never sampled."""
-
-    name: str
-    term: Term
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     method: str  # "fcs" | "smcfcs"
     m: int = 10
     iterations: int | None = None  # default: 10 for fcs, 20 for smcfcs
     seed: int = 0
-    max_rejections: int = 100_000
     substantive: tuple[str, ModelFormula] | None = None  # (family, formula), smcfcs only
     covariate_specs: tuple[CovariateModelSpec, ...] = ()
-    derived_columns: tuple[DerivedColumn, ...] = ()
-    cumhaz_column: str | None = None  # materialize the marginal cumulative hazard here
-    promote_terms: tuple[Term, ...] = ()  # just-another-variable covariates
 
     def __post_init__(self):
         if self.method not in ("fcs", "smcfcs"):
@@ -105,11 +95,7 @@ class EngineConfig:
             if self.substantive is None:
                 raise ValueError("smcfcs requires a substantive (family, formula)")
             outcome_family(*self.substantive)
-            if self.promote_terms:
-                raise ValueError("promoted covariates are a chained-equations device")
         object.__setattr__(self, "covariate_specs", tuple(self.covariate_specs))
-        object.__setattr__(self, "derived_columns", tuple(self.derived_columns))
-        object.__setattr__(self, "promote_terms", tuple(self.promote_terms))
 
     @property
     def sweeps(self) -> int:
@@ -179,16 +165,12 @@ def _covariate_names(d: Dataset, exclude=()) -> list[str]:
     return [c.name for c in d.columns if c.role in roles and c.name not in exclude]
 
 
-def default_covariate_specs(
-    d: Dataset,
-    method: str,
-    cumhaz_column: str | None = None,
-) -> tuple[CovariateModelSpec, ...]:
+def default_covariate_specs(d: Dataset, method: str) -> tuple[CovariateModelSpec, ...]:
     """One spec per partial covariate: every other covariate at power one.
 
     For chained equations the outcome enters as a predictor too; with a
     survival outcome that means the event indicator plus the marginal
-    cumulative hazard column (which must be configured via cumhaz_column).
+    cumulative hazard CUMHAZ.
     """
     outcome = [c.name for c in d.columns if c.role is VariableRole.OUTCOME]
     event = [c.name for c in d.columns if c.role is VariableRole.EVENT]
@@ -200,58 +182,40 @@ def default_covariate_specs(
                 preds.append(Term(((outcome[0], 1),)))
             elif event:
                 preds.append(Term(((event[0], 1),)))
-                if cumhaz_column is None:
-                    raise ValueError(
-                        "chained equations with a survival outcome need a cumhaz_column"
-                    )
-                preds.append(Term(((cumhaz_column, 1),)))
+                preds.append(Term(((CUMHAZ, 1),)))
         specs.append(CovariateModelSpec(target=col.name, family=covariate_family(col.kind),
                                         predictors=tuple(preds)))
     return tuple(specs)
 
 
-def jav_config(
-    formula: ModelFormula,
-    d: Dataset,
-    m: int = 10,
-    iterations: int | None = None,
-    seed: int = 0,
-    max_rejections: int = 100_000,
-) -> EngineConfig:
-    """Chained-equations config treating each derived term as its own covariate.
+def jav_dataset(formula: ModelFormula, d: Dataset) -> Dataset:
+    """`d` prepared for just-another-variable imputation with run_fcs.
 
-    Every non-linear term of the formula (powers, interactions) is promoted to
-    a free-standing covariate, missing exactly where its base variables are,
-    and every partial covariate, including binary ones, is imputed with a
-    normal linear model on all other variables plus the outcome.  Nothing is
-    passively recomputed afterwards.
+    Every non-linear term of the formula (powers, interactions) becomes a
+    free-standing continuous column, missing exactly where its base variables
+    are, and every binary partial covariate is relabelled continuous, so that
+    default chained-equations specs impute each with a normal linear model on
+    all other variables plus the outcome.  Nothing is passively recomputed.
     """
     if formula.is_survival:
         raise ValueError("promotion of derived terms is defined for single-outcome formulas")
     derived_terms = tuple(t for t in formula.terms if not t.is_linear)
     if not derived_terms:
         raise ValueError("formula has no power or interaction terms to promote")
-    promoted_names = [term_column_name(t) for t in derived_terms]
-    targets = [c.name for c in d.partial_covariates()] + promoted_names
-    others_pool = _covariate_names(d) + promoted_names
-    specs = []
-    for target in targets:
-        preds = [Term(((o, 1),)) for o in others_pool if o != target]
-        preds.append(Term(((formula.response, 1),)))
-        specs.append(CovariateModelSpec(target=target, family="normal_linear", predictors=tuple(preds)))
-    return EngineConfig(
-        method="fcs",
-        m=m,
-        iterations=iterations,
-        seed=seed,
-        max_rejections=max_rejections,
-        covariate_specs=tuple(specs),
-        promote_terms=derived_terms,
-    )
+    # linear imputation of formerly-binary covariates produces off-{0,1}
+    # values, so every sampled covariate becomes continuous
+    d = Dataset(tuple(
+        Column(c.name, VariableKind.CONTINUOUS, c.role, c.values, c.observed)
+        if c.role is VariableRole.PARTIAL_COVARIATE and c.kind is VariableKind.BINARY else c
+        for c in d.columns
+    ))
+    for t in derived_terms:
+        d = _materialize_term(d, term_column_name(t), t)
+    return d
 
 
 def jav_analysis_formula(formula: ModelFormula) -> ModelFormula:
-    """The formula to fit after promotion: derived terms become plain columns."""
+    """The formula to fit on a jav_dataset: non-linear terms become plain columns."""
     terms = tuple(
         t if t.is_linear else Term(((term_column_name(t), 1),)) for t in formula.terms
     )
@@ -263,11 +227,10 @@ def jav_analysis_formula(formula: ModelFormula) -> ModelFormula:
 
 @dataclass
 class _Context:
-    d: Dataset  # augmented dataset
+    d: Dataset  # the input dataset, plus CUMHAZ if a covariate model uses it
     config: EngineConfig
     sampled: list[str]  # covariates imputed by sampling, in missingness order
     specs: dict[str, CovariateModelSpec]
-    derived: tuple[DerivedColumn, ...]
     masks: dict[str, np.ndarray]
     missing_idx: dict[str, np.ndarray]
     model: Family | None = None  # smcfcs: the outcome family
@@ -281,35 +244,21 @@ def _materialize_column(d: Dataset, name, values, observed, kind, role) -> Datas
     return Dataset(d.columns + (col,))
 
 
-def _augment_dataset(d: Dataset, config: EngineConfig) -> Dataset:
-    if config.cumhaz_column is not None:
-        time_cols = [c for c in d.columns if c.role is VariableRole.TIME]
-        event_cols = [c for c in d.columns if c.role is VariableRole.EVENT]
-        if not time_cols or not event_cols:
-            raise DataError("cumhaz_column needs time and event columns")
-        hazard = nelson_aalen(time_cols[0].values, event_cols[0].values)
-        values = np.asarray(hazard(time_cols[0].values), dtype=float)
-        d = _materialize_column(
-            d, config.cumhaz_column, values, np.ones(d.n, dtype=bool),
-            VariableKind.CONTINUOUS, VariableRole.COMPLETE_COVARIATE,
-        )
-    if config.promote_terms:
-        # linear imputation of formerly-binary covariates produces off-{0,1}
-        # values, so every sampled covariate becomes continuous
-        cols = []
-        for col in d.columns:
-            if col.role is VariableRole.PARTIAL_COVARIATE and col.kind is VariableKind.BINARY:
-                col = Column(col.name, VariableKind.CONTINUOUS, col.role,
-                             col.values, col.observed)
-            cols.append(col)
-        d = Dataset(tuple(cols))
-        for t in config.promote_terms:
-            d = _materialize_term(d, term_column_name(t), t)
-    for dc in config.derived_columns:
-        if d.has_column(dc.name):
-            continue  # user supplied the derived column; its cells are kept
-        d = _materialize_term(d, dc.name, dc.term)
-    return d
+def _with_cumhaz(d: Dataset, config: EngineConfig) -> Dataset:
+    """`d` plus the CUMHAZ column if some covariate model conditions on it."""
+    if not any(CUMHAZ in spec.formula.variables for spec in config.covariate_specs):
+        return d
+    time_cols = [c for c in d.columns if c.role is VariableRole.TIME]
+    event_cols = [c for c in d.columns if c.role is VariableRole.EVENT]
+    if not time_cols or not event_cols:
+        raise DataError(f"covariate model conditions on {CUMHAZ}, "
+                        "which needs time and event columns")
+    hazard = nelson_aalen(time_cols[0].values, event_cols[0].values)
+    values = np.asarray(hazard(time_cols[0].values), dtype=float)
+    return _materialize_column(
+        d, CUMHAZ, values, np.ones(d.n, dtype=bool),
+        VariableKind.CONTINUOUS, VariableRole.COMPLETE_COVARIATE,
+    )
 
 
 def _materialize_term(d: Dataset, name, term: Term) -> Dataset:
@@ -326,29 +275,9 @@ def _materialize_term(d: Dataset, name, term: Term) -> Dataset:
     return _materialize_column(d, name, values, observed, VariableKind.CONTINUOUS, role)
 
 
-def _outcome_derived_names(d: Dataset, config: EngineConfig) -> set[str]:
-    names = {
-        c.name
-        for c in d.columns
-        if c.role in (VariableRole.OUTCOME, VariableRole.TIME, VariableRole.EVENT)
-    }
-    if config.cumhaz_column is not None:
-        names.add(config.cumhaz_column)
-    for dc in config.derived_columns:  # single pass suffices: config order
-        if any(v in names for v in dc.term.variables):
-            names.add(dc.name)
-    return names
-
-
 def _build_context(d: Dataset, config: EngineConfig) -> _Context:
-    d = _augment_dataset(d, config)
-    derived_names = {dc.name for dc in config.derived_columns}
-    sampled_cols = [c for c in d.partial_covariates() if c.name not in derived_names]
-    if not sampled_cols:
-        sampled = []
-    else:
-        order = _missingness_order(d)
-        sampled = [name for name in order if name not in derived_names]
+    d = _with_cumhaz(d, config)
+    sampled = _missingness_order(d) if d.partial_covariates() else []
 
     specs: dict[str, CovariateModelSpec] = {}
     for spec in config.covariate_specs:
@@ -362,7 +291,11 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     if extra:
         raise DataError(f"covariate spec for non-sampled column {sorted(extra)[0]!r}")
 
-    outcome_derived = _outcome_derived_names(d, config)
+    outcome_names = {CUMHAZ} | {
+        c.name
+        for c in d.columns
+        if c.role in (VariableRole.OUTCOME, VariableRole.TIME, VariableRole.EVENT)
+    }
     for name, spec in specs.items():
         col = d.column(name)
         if spec.model.binary != (col.kind is VariableKind.BINARY):
@@ -372,7 +305,7 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         for v in spec.formula.variables:
             if not d.has_column(v):
                 raise DataError(f"spec for {name} references unknown column {v!r}")
-            if config.method == "smcfcs" and v in outcome_derived:
+            if config.method == "smcfcs" and v in outcome_names:
                 raise DataError(
                     f"smcfcs covariate model for {name} must not condition on "
                     f"outcome-derived column {v!r}"
@@ -395,8 +328,7 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     masks = {c.name: c.observed.copy() for c in d.columns}
     missing_idx = {name: np.flatnonzero(~masks[name]) for name in sampled}
     return _Context(
-        d=d, config=config, sampled=sampled, specs=specs,
-        derived=config.derived_columns, masks=masks,
+        d=d, config=config, sampled=sampled, specs=specs, masks=masks,
         missing_idx=missing_idx, model=model, response=response,
     )
 
@@ -413,15 +345,7 @@ def _init_columns(ctx: _Context, rng) -> dict[str, np.ndarray]:
         cur[name][ctx.missing_idx[name]] = rng.choice(
             observed_values, size=ctx.missing_idx[name].size, replace=True
         )
-    _recompute_derived(ctx, cur)
     return cur
-
-
-def _recompute_derived(ctx: _Context, cur) -> None:
-    for dc in ctx.derived:
-        mask = ctx.masks[dc.name]
-        values = dc.term.evaluate(cur)
-        cur[dc.name] = np.where(mask, cur[dc.name], values)
 
 
 def _design(formula: ModelFormula, cols, n) -> np.ndarray:
@@ -521,7 +445,6 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
 
 def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     for name in ctx.sampled:
-        _recompute_derived(ctx, cur)
         spec = ctx.specs[name]
         X = _design(spec.formula, cur, ctx.d.n)
         obs = ctx.masks[name]
@@ -532,7 +455,6 @@ def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
         miss = ctx.missing_idx[name]
         if miss.size:
             cur[name][miss] = spec.model.sample(phi, X[miss] @ phi.beta, rng)
-    _recompute_derived(ctx, cur)
 
 
 def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
@@ -561,8 +483,7 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
             diag.record_sampling(name, miss.size, miss.size, 0)
         else:
             vals, proposals, fallbacks = smc_reject_sample(
-                family, formula, psi, spec, phi, cur, miss, rng,
-                ctx.config.max_rejections,
+                family, formula, psi, spec, phi, cur, miss, rng, MAX_REJECTIONS,
             )
             cur[name][miss] = vals
             diag.record_sampling(name, proposals, miss.size - fallbacks, fallbacks)

@@ -24,6 +24,7 @@ intercept Monte-Carlo, once per process (about 0.3 s and 50 MB).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,11 +33,12 @@ from scipy.special import expit
 
 from .dataset import Column, Dataset, VariableKind, VariableRole, DataError
 from .engines import (
+    CUMHAZ,
     EngineConfig,
     EngineFailure,
     default_covariate_specs,
     jav_analysis_formula,
-    jav_config,
+    jav_dataset,
     run_fcs,
     run_smcfcs,
 )
@@ -351,8 +353,16 @@ class ScenarioConfig:
             raise ValueError("the cox study uses the completely-at-random mechanism")
         if not 0.0 < self.p_obs < 1.0:
             raise ValueError("p_obs must be in (0, 1)")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for name, low in (("n", 1), ("reps", 1), ("m", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not isinstance(self.methods, (list, tuple)) or not all(
+            isinstance(method, str) for method in self.methods
+        ):
+            raise ValueError(f"methods must be a list of method names, not {self.methods!r}")
         unknown = [method for method in self.methods if method not in METHODS]
         if unknown:
             raise ValueError(f"unknown method {unknown[0]!r}")
@@ -405,16 +415,15 @@ def _fcs_config(cfg: ScenarioConfig, d: Dataset) -> EngineConfig:
                                            Term((("y", 1), ("x1", 1))))),
         )
         return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
-    cumhaz = "na_cumhaz"
     specs = (
         CovariateModelSpec("x1", "logistic",
                            predictors=(Term((("x2", 1),)), Term((("d", 1),)),
-                                       Term(((cumhaz, 1),)))),
+                                       Term(((CUMHAZ, 1),)))),
         CovariateModelSpec("x2", "normal_linear",
                            predictors=(Term((("x1", 1),)), Term((("d", 1),)),
-                                       Term(((cumhaz, 1),)))),
+                                       Term(((CUMHAZ, 1),)))),
     )
-    return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs, cumhaz_column=cumhaz)
+    return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
 
 
 def _complete_case(family, formula, d: Dataset, level=0.95):
@@ -439,8 +448,10 @@ def _run_method(cfg: ScenarioConfig, method: str, d: Dataset, seq):
         result = run_fcs(d, engine_cfg, rng=seq)
         fit_formula = formula
     elif method == "jav":
-        engine_cfg = jav_config(formula, d, m=cfg.m)
-        result = run_fcs(d, engine_cfg, rng=seq)
+        dj = jav_dataset(formula, d)
+        engine_cfg = EngineConfig(method="fcs", m=cfg.m,
+                                  covariate_specs=default_covariate_specs(dj, "fcs"))
+        result = run_fcs(dj, engine_cfg, rng=seq)
         fit_formula = jav_analysis_formula(formula)
     elif method == "smcfcs":
         engine_cfg = EngineConfig(

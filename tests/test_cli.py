@@ -1,4 +1,5 @@
 import csv
+import json
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,59 @@ def test_impute_repeated_header_name_is_usage_error(tmp_path, capsys):
                 "--m", 2, "--out", tmp_path / "o.csv"])
     assert code == 2
     assert "'x' appears twice in the header" in capsys.readouterr().err
+
+
+def test_impute_negative_seed_names_the_seed_flag(quad_files, capsys):
+    tmp, data, schema = quad_files
+    assert run(impute_args(data, schema, tmp / "o.csv", seed=-1)) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
+def test_simulate_negative_seed_names_the_seed_flag(tmp_path, capsys):
+    code = run(["simulate", "--scenario", "quad-normal-mcar", "--reps", 1, "--seed", -1,
+                "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("methods", 5), ("methods", [1]), ("reps", 1.5), ("n", "abc"), ("n", 0),
+    ("m", 1), ("seed", -1), ("seed", True),
+])
+def test_simulate_bad_scenario_json_field_is_usage_error(tmp_path, capsys, field, value):
+    raw = {"dgp": "quadratic", "variant": "normal", "mechanism": "mcar", "n": 200,
+           "reps": 2, "m": 2, "methods": ["cc"], "seed": 12, field: value}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--scenario", cfg, "--out", out]) == 2
+    assert f"--scenario: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schema_reserves_the_cumhaz_column(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,w,d,_cumhaz\n1.0,2.0,1,0.5\n,1.0,0,0.1\n0.5,3.0,1,0.9\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text("name,kind,role\nx,continuous,partial_covariate\nw,continuous,time\n"
+                      "d,binary,event\n_cumhaz,continuous,complete_covariate\n")
+    code = run(["impute", "--data", data, "--schema", schema, "--method", "fcs",
+                "--m", 2, "--out", tmp_path / "o.csv"])
+    assert code == 2
+    assert "--schema: column name _cumhaz is reserved" in capsys.readouterr().err
+
+
+def test_impute_fcs_with_an_event_but_no_time_column_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,d\n1.0,1\n,0\n0.5,1\n2.0,0\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text("name,kind,role\nx,continuous,partial_covariate\nd,binary,event\n")
+    out = tmp_path / "o.csv"
+    code = run(["impute", "--data", data, "--schema", schema, "--method", "fcs",
+                "--m", 2, "--out", out])
+    assert code == 2
+    assert "_cumhaz, which needs time and event columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_long_csv_blocks_come_in_ascending_imp_order(tmp_path):

@@ -12,12 +12,12 @@ from smcimpute.dataset import (
     VariableRole,
 )
 from smcimpute.engines import (
-    DerivedColumn,
+    CUMHAZ,
     EngineConfig,
     EngineFailure,
     default_covariate_specs,
     jav_analysis_formula,
-    jav_config,
+    jav_dataset,
     run_fcs,
     run_smcfcs,
     smc_binary_probs,
@@ -133,28 +133,19 @@ def test_engines_preserve_observed_cells_and_are_deterministic():
     )
 
 
-def test_fcs_derived_columns_passively_recomputed():
-    d0 = quadratic_data(seed=4)
-    cfg = EngineConfig(
-        method="fcs", m=2, iterations=3, seed=6,
-        covariate_specs=(CovariateModelSpec(
-            "x", "normal_linear", predictors=(Term((("y", 1),)),)),),
-        derived_columns=(DerivedColumn("x_sq", Term((("x", 2),))),),
-    )
-    result = run_fcs(d0, cfg)
-    for imp in result.datasets:
-        np.testing.assert_array_equal(
-            imp.column("x_sq").values, imp.column("x").values ** 2
-        )
-
-
 # ---------------------------------------------------------------------------
-# just-another-variable configuration
+# just-another-variable imputation
+
+def run_jav(formula, d, seed):
+    dj = jav_dataset(parse_formula(formula), d)
+    cfg = EngineConfig(method="fcs", m=2, iterations=3, seed=seed,
+                       covariate_specs=default_covariate_specs(dj, "fcs"))
+    return run_fcs(dj, cfg)
+
 
 def test_jav_promotes_derived_terms():
     d = quadratic_data(seed=5)
-    cfg = jav_config(parse_formula("y ~ x + x^2"), d, m=2, iterations=3, seed=7)
-    result = run_fcs(d, cfg)
+    result = run_jav("y ~ x + x^2", d, seed=7)
     imp = result.datasets[0]
     assert imp.has_column("x_pow2")
     # promoted column was missing exactly where x was, then imputed freely
@@ -176,7 +167,19 @@ def test_jav_analysis_formula_renames_terms():
 def test_jav_requires_derived_terms():
     d = quadratic_data(seed=6)
     with pytest.raises(ValueError):
-        jav_config(parse_formula("y ~ x"), d)
+        jav_dataset(parse_formula("y ~ x"), d)
+
+
+def test_jav_runs_with_a_derived_term_of_complete_variables():
+    # z^2 is fully observed, so it is a complete covariate and gets no model
+    d0 = quadratic_data(seed=9)
+    z = np.random.default_rng(9).normal(size=d0.n)
+    d = Dataset(d0.columns + (Column("z", C, COMP, z, np.ones(d0.n, dtype=bool)),))
+    result = run_jav("y ~ x + z + z^2", d, seed=3)
+    imp = result.datasets[0]
+    np.testing.assert_array_equal(imp.column("z_pow2").values, z ** 2)
+    assert imp.column("z_pow2").role is COMP
+    assert np.all(np.isfinite(imp.column("x").values))
 
 
 def test_jav_relabels_binary_covariates_continuous():
@@ -192,8 +195,7 @@ def test_jav_relabels_binary_covariates_continuous():
         ("x2", C, PART, np.where(obs2, x2, np.nan), obs2),
         ("y", C, OUT, y, np.ones(n)),
     ])
-    cfg = jav_config(parse_formula("y ~ x1 + x2 + x1*x2"), d, m=2, iterations=3, seed=8)
-    result = run_fcs(d, cfg)
+    result = run_jav("y ~ x1 + x2 + x1*x2", d, seed=8)
     imputed_x1 = result.datasets[0].column("x1")
     assert imputed_x1.kind is C
     off_support = imputed_x1.values[~obs1]
@@ -418,18 +420,19 @@ def test_fcs_survival_materializes_cumhaz():
         ("w", C, VariableRole.TIME, w, np.ones(n)),
         ("d", B, VariableRole.EVENT, ev, np.ones(n)),
     ])
-    cfg = EngineConfig(
-        method="fcs", m=2, iterations=3, seed=2,
-        covariate_specs=default_covariate_specs(d, "fcs", cumhaz_column="ch"),
-        cumhaz_column="ch",
-    )
+    cfg = EngineConfig(method="fcs", m=2, iterations=3, seed=2,
+                       covariate_specs=default_covariate_specs(d, "fcs"))
     result = run_fcs(d, cfg)
     imp = result.datasets[0]
-    assert imp.has_column("ch")
+    assert imp.has_column(CUMHAZ)
     from smcimpute.fitters import nelson_aalen
 
     na = nelson_aalen(w, ev)
-    np.testing.assert_allclose(imp.column("ch").values, na(w))
+    np.testing.assert_allclose(imp.column(CUMHAZ).values, na(w))
+    # a model that does not condition on the cumulative hazard gets no column
+    cfg = EngineConfig(method="fcs", m=2, iterations=3, seed=2, covariate_specs=(
+        CovariateModelSpec("x2", "normal_linear", predictors=(Term((("d", 1),)),)),))
+    assert not run_fcs(d, cfg).datasets[0].has_column(CUMHAZ)
 
 
 def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):

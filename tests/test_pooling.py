@@ -122,8 +122,8 @@ def _cox_imputations(m):
     from smcimpute.simlab import apply_mcar, gen_cox
 
     d = apply_mcar(gen_cox(200, np.random.default_rng(7)), 0.7, np.random.default_rng(8))
-    cfg = EngineConfig(method="fcs", m=m, iterations=2, seed=4, cumhaz_column="h",
-                       covariate_specs=default_covariate_specs(d, "fcs", cumhaz_column="h"))
+    cfg = EngineConfig(method="fcs", m=m, iterations=2, seed=4,
+                       covariate_specs=default_covariate_specs(d, "fcs"))
     return run_fcs(d, cfg)
 
 
