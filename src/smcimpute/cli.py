@@ -217,7 +217,8 @@ def cmd_impute(args) -> int:
     except SubstantiveModelError as exc:
         _fail("--smodel", str(exc))
     except DataError as exc:
-        _fail("--covmodel", str(exc))
+        # with the default specs the data's columns are what the models lack
+        _fail("--covmodel" if args.covmodel else "--schema", str(exc))
     _write_long_csv(args.out, result.datasets, d.names)
     atomic_write_text(f"{args.out}.diag.csv", result.diagnostics.to_csv_text())
     for name in sorted(result.diagnostics.proposals):

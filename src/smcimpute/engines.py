@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .dataset import Column, Dataset, DataError, VariableKind, VariableRole
 from .dataset import missingness_order as _missingness_order
 from .fitters import FitError, nelson_aalen

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit
+
+from ._special import expit, log_expit
 
 __all__ = [
     "FitError",
@@ -208,8 +209,9 @@ class GlmFit:
 def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray):
     """Log-likelihood, score, and observed information for logistic regression."""
     eta = X @ beta
-    # log p(y) = y*log(expit(eta)) + (1-y)*log(expit(-eta))
-    ll = float(np.sum(y * log_expit(eta) + (1.0 - y) * log_expit(-eta)))
+    # log p(y) = y*log(expit(eta)) + (1-y)*log(expit(-eta)), and
+    # log(expit(eta)) = eta + log(expit(-eta)), so one log_expit pass suffices
+    ll = float(np.sum(y * eta + log_expit(-eta)))
     p = expit(eta)
     score = X.T @ (y - p)
     w = p * (1.0 - p)

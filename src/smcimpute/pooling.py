@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
+from ._special import normal_quantile, t_quantile
 from .fitters import FitError
 from .formula import ModelFormula
 from .substantive import shared_response, substantive_estimates
@@ -99,11 +99,10 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
         ratio = within / ((1.0 + 1.0 / m) * between)
         df = (m - 1) * (1.0 + ratio) ** 2  # inf as B -> 0 is the intended limit
 
-    half = np.empty_like(point)
-    zero_b = between == 0.0
     alpha = 0.5 * (1.0 + level)
-    half[zero_b] = ndtri(alpha) * np.sqrt(total[zero_b])
-    half[~zero_b] = stdtrit(df[~zero_b], alpha) * np.sqrt(total[~zero_b])
+    quantile = np.array([normal_quantile(alpha) if b == 0.0 else t_quantile(nu, alpha)
+                         for b, nu in zip(between, df)])
+    half = quantile * np.sqrt(total)
     labels = tuple(terms) if terms is not None else tuple(f"b{i}" for i in range(point.size))
     return PooledEstimate(
         terms=labels,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .dataset import Column, Dataset, VariableKind, VariableRole, DataError
 from .engines import (
     CUMHAZ,
@@ -341,6 +341,12 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
+        for name in ("dgp", "variant", "mechanism", "name"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name == "variant" and value is None)):
+                raise ValueError(f"{name} must be a string, not {value!r}")
+        if isinstance(self.p_obs, bool) or not isinstance(self.p_obs, numbers.Real):
+            raise ValueError(f"p_obs must be a number, not {self.p_obs!r}")
         if self.dgp not in DGPS:
             raise ValueError(f"unknown dgp {self.dgp!r}")
         if self.dgp == "quadratic" and self.variant not in QUADRATIC_VARIANTS:

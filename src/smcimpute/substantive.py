@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit, ndtri, stdtrit
 
+from ._special import expit, log_expit, normal_quantile, t_quantile
 from .dataset import DataError, VariableKind
 from .fitters import (
     FitError,
@@ -160,7 +160,7 @@ class Family:
 
     def quantile(self, fit, alpha):
         """Reference quantile at `alpha` for an interval from one complete-data fit."""
-        return ndtri(alpha)
+        return normal_quantile(alpha)
 
 
 class NormalLinear(Family):
@@ -190,7 +190,7 @@ class NormalLinear(Family):
         return log_ratio_normal(*parts, g, psi.sigma2)
 
     def quantile(self, fit, alpha):
-        return stdtrit(fit.n - fit.k, alpha)
+        return t_quantile(fit.n - fit.k, alpha)
 
     def sample(self, params, mu, rng):
         """Covariate values drawn given their linear predictor `mu`."""

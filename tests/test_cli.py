@@ -296,6 +296,7 @@ def test_simulate_negative_seed_names_the_seed_flag(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("methods", 5), ("methods", [1]), ("reps", 1.5), ("n", "abc"), ("n", 0),
     ("m", 1), ("seed", -1), ("seed", True),
+    ("p_obs", "x"), ("dgp", 3), ("variant", ["normal"]), ("mechanism", None), ("name", 7),
 ])
 def test_simulate_bad_scenario_json_field_is_usage_error(tmp_path, capsys, field, value):
     raw = {"dgp": "quadratic", "variant": "normal", "mechanism": "mcar", "n": 200,
@@ -306,6 +307,22 @@ def test_simulate_bad_scenario_json_field_is_usage_error(tmp_path, capsys, field
     assert run(["simulate", "--scenario", cfg, "--out", out]) == 2
     assert f"--scenario: {field} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_impute_data_error_under_default_specs_names_the_schema_flag(tmp_path, capsys):
+    # an event column without a time column: the default chained-equations
+    # specs condition on the cumulative hazard, which needs both
+    data = tmp_path / "d.csv"
+    data.write_text("x,z,d\n1.0,0.3,1\n,1.2,0\n0.5,-0.4,1\n2.0,0.1,0\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text("name,kind,role\nx,continuous,partial_covariate\n"
+                      "z,continuous,complete_covariate\nd,binary,event\n")
+    code = run(["impute", "--data", data, "--schema", schema, "--method", "fcs",
+                "--m", 2, "--out", tmp_path / "o.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--schema: covariate model conditions on _cumhaz" in err
+    assert "--covmodel" not in err
 
 
 def test_schema_reserves_the_cumhaz_column(tmp_path, capsys):

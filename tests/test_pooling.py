@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, t
 
+from smcimpute._special import normal_quantile, t_quantile
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.formula import parse_formula
 from smcimpute.pooling import PoolError, fit_each, pool
@@ -185,7 +186,7 @@ def test_fit_each_perfect_fit_zero_variance():
 
 
 @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
-def test_intervals_match_scipy_stats_quantiles_bit_for_bit(level):
+def test_intervals_use_quantiles_that_match_scipy_stats(level):
     rng = np.random.default_rng(3)
     est = rng.normal(size=(6, 4))
     est[:, 1] = 0.5  # B = 0: normal-quantile branch
@@ -194,10 +195,11 @@ def test_intervals_match_scipy_stats_quantiles_bit_for_bit(level):
     p = pool(est, var, level=level)
     assert p.between_var[1] == 0.0 and p.df[2] > 1e15
     alpha = 0.5 * (1.0 + level)
-    half = np.where(
-        p.between_var == 0.0,
-        norm.ppf(alpha) * np.sqrt(p.total_var),
-        t.ppf(alpha, p.df) * np.sqrt(p.total_var),
-    )
+    z = normal_quantile(alpha)
+    assert abs(z - norm.ppf(alpha)) <= 2 * np.spacing(z)
+    q = np.array([z if b == 0.0 else t_quantile(df, alpha)
+                  for b, df in zip(p.between_var, p.df)])
+    np.testing.assert_allclose(q, t.ppf(alpha, p.df), rtol=1e-12, atol=0)
+    half = q * np.sqrt(p.total_var)
     np.testing.assert_array_equal(p.ci_low, p.point - half)
     np.testing.assert_array_equal(p.ci_high, p.point + half)
