@@ -1,48 +1,34 @@
 #!/usr/bin/env python3
 """Run the builtin simulation studies and print summary tables.
 
-By default runs the three study designs at desk scale (200 replications);
-pass --full for 1000 replications, or --scenario to run a single one.
-True coefficient values are 1 for every reported non-intercept parameter,
-so bias reads directly off the mean column.
+By default runs every builtin scenario, study by study, at desk scale (200
+replications); pass --full for 1000 replications, or --scenario to run a
+single one.  Each study's table shows the coefficients its `Study` record in
+`smcimpute.simlab.STUDIES` reports.  True coefficient values are 1 for every
+reported parameter, so bias reads directly off the mean column.
 """
 
 import argparse
 import time
 from dataclasses import replace
 
-from smcimpute.simlab import builtin_scenarios, run_scenario
-
-GROUPS = {
-    "quadratic": [f"quad-{v}-{m}" for v in ("normal", "lognormal", "mixture")
-                  for m in ("mcar", "mar")],
-    "interaction": [f"interact-{v}-{m}"
-                    for v in ("bvnormal", "bvlognormal", "quadcond",
-                              "bernnormal", "bernlognormal")
-                    for m in ("mcar", "mar")],
-    "cox": ["cox-n1000", "cox-n100"],
-}
-
-REPORTED = {"quadratic": ["x^2"], "interaction": ["x1", "x1*x2"], "cox": ["x1", "x2"]}
+from smcimpute.simlab import STUDIES, builtin_scenarios, run_scenario
 
 
 def main():
+    catalog = builtin_scenarios()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--reps", type=int, default=200)
     ap.add_argument("--full", action="store_true", help="use 1000 replications")
     ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--seed", type=int, default=20120601)
-    ap.add_argument("--scenario", help="run a single builtin scenario")
+    ap.add_argument("--scenario", choices=catalog, metavar="NAME",
+                    help="run a single builtin scenario")
     args = ap.parse_args()
     reps = 1000 if args.full else args.reps
 
-    catalog = builtin_scenarios()
-    names = [args.scenario] if args.scenario else [
-        n for group in GROUPS.values() for n in group
-    ]
-    for name in names:
+    for name in [args.scenario] if args.scenario else catalog:
         cfg = replace(catalog[name], reps=reps, seed=args.seed)
-        params = REPORTED[cfg.dgp]
         t0 = time.time()
         summary = run_scenario(cfg, threads=args.threads)
         elapsed = time.time() - t0
@@ -50,7 +36,7 @@ def main():
               f"{elapsed:.0f}s)")
         print(f"  {'method':12s} {'parameter':10s} {'mean':>8s} {'sd':>7s} {'cov%':>6s}")
         for method in cfg.methods:
-            for p in params:
+            for p in STUDIES[cfg.dgp].reported:
                 row = summary.row(method, p)
                 print(f"  {method:12s} {p:10s} {row.mean:8.3f} {row.sd:7.3f} "
                       f"{row.coverage:6.1f}")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -41,7 +40,6 @@ from .engines import (
 from .fitters import FitError
 from .formula import FormulaError, parse_formula
 from .pooling import PoolError, fit_each, pool
-from .simlab import ScenarioConfig, builtin_scenarios, run_scenario
 from .substantive import CovariateModelSpec, covariate_family
 
 __all__ = ["main"]
@@ -258,9 +256,14 @@ def cmd_analyze(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# simulate: the simulation lab is imported only here, so impute and analyze
+# do not load it
 
-def _load_scenario(args) -> ScenarioConfig:
+def _load_scenario(args):
+    import json
+
+    from .simlab import ScenarioConfig, builtin_scenarios
+
     if args.reps is not None and args.reps < 1:
         _fail("--reps", "must be >= 1")
     if args.seed is not None and args.seed < 0:
@@ -292,6 +295,8 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .simlab import run_scenario
+
     cfg = _load_scenario(args)
     if args.threads < 1:
         _fail("--threads", "must be >= 1")

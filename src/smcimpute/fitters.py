@@ -56,9 +56,8 @@ class FitError(RuntimeError):
     """Fit cannot be completed (rank deficiency, divergence, bad inputs)."""
 
 
-def _coef_scales(X: np.ndarray) -> np.ndarray:
-    """Per-column predictor SDs, with 1.0 substituted for constant columns."""
-    sd = X.std(axis=0)
+def _coef_scales(sd: np.ndarray) -> np.ndarray:
+    """Per-column predictor SDs `sd`, with 1.0 substituted for constant columns."""
     return np.where(sd > 0, sd, 1.0)
 
 
@@ -100,19 +99,19 @@ def _inverse_information(info, message: str) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _newton(loglik, X, beta0, *, singular: str, diverged: str, stalled: str):
+def _newton(loglik, scales, beta0, *, singular: str, diverged: str, stalled: str):
     """Newton-Raphson maximization of `loglik(beta) -> (ll, score, info)`.
 
-    Starts at beta0 (zeros when None); the design X scales the divergence
-    check.  Each candidate step costs one loglik call, and the accepted
-    candidate's score and information drive the next step.  Returns (beta,
-    info, iterations) once the score norm is below SCORE_TOL.  Raises
-    FitError(singular) on an information matrix that is not positive
-    definite, FitError(diverged) when a coefficient diverges, and
-    FitError(stalled) after MAX_ITER iterations.
+    Starts at beta0 (zeros when None); `scales`, the _coef_scales of the
+    design's column SDs, scale the divergence check.  Each candidate step
+    costs one loglik call, and the accepted candidate's score and
+    information drive the next step.  Returns (beta, info, iterations) once
+    the score norm is below SCORE_TOL.  Raises FitError(singular) on an
+    information matrix that is not positive definite, FitError(diverged)
+    when a coefficient diverges, and FitError(stalled) after MAX_ITER
+    iterations.
     """
-    scales = _coef_scales(X)
-    beta = np.zeros(X.shape[1]) if beta0 is None else np.asarray(beta0, dtype=float)
+    beta = np.zeros(scales.shape[0]) if beta0 is None else np.asarray(beta0, dtype=float)
     ll, score, info = loglik(beta)
     for iterations in range(1, MAX_ITER + 1):
         step = _spd_solve(info, score, singular)
@@ -227,7 +226,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
         raise FitError("logistic response must be 0/1")
     failed = "logistic fit did not converge (separation?)"
     beta, info, iterations = _newton(
-        lambda b: logistic_loglik(X, y, b), X, beta0,
+        lambda b: logistic_loglik(X, y, b), _coef_scales(X.std(axis=0)), beta0,
         singular="observed information is singular", diverged=failed, stalled=failed)
     # the score also vanishes under separation, where every response is
     # predicted perfectly and the information matrix degenerates
@@ -346,7 +345,6 @@ def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndar
 class CoxFit:
     beta: np.ndarray
     covariance: np.ndarray  # inverse observed information
-    baseline: StepCumHazard
     layout: CoxLayout | None = field(default=None, repr=False, compare=False)
 
     def coef_variances(self) -> np.ndarray:
@@ -360,9 +358,11 @@ def fit_cox(
     beta0: np.ndarray | None = None,
     layout: CoxLayout | None = None,
 ) -> CoxFit:
-    """Cox partial-likelihood MLE with the Breslow baseline at the solution.
+    """Cox partial-likelihood MLE.
 
-    `layout` is cox_layout(time, event), built here when not given.
+    `layout` is cox_layout(time, event), built here when not given.  The
+    Breslow baseline at the solution is breslow_baseline(X, time, event,
+    fit.beta, layout=fit.layout).
     """
     X = np.asarray(X, dtype=float)
     time = np.asarray(time, dtype=float)
@@ -371,18 +371,18 @@ def fit_cox(
         raise FitError("survival times must be strictly positive")
     if not np.any(event == 1.0):
         raise FitError("no events observed")
-    if np.any(X.std(axis=0) == 0):
+    sd = X.std(axis=0)
+    if np.any(sd == 0):
         raise FitError("constant covariate column in Cox design")
     if layout is None:
         layout = cox_layout(time, event)
     beta, info, _ = _newton(
-        lambda b: cox_loglik(X, time, event, b, layout=layout), X, beta0,
+        lambda b: cox_loglik(X, time, event, b, layout=layout), _coef_scales(sd), beta0,
         singular="Cox information matrix is singular",
         diverged="monotone partial likelihood (diverging coefficients)",
         stalled="Cox fit did not converge")
     cov = _inverse_information(info, "Cox information matrix is singular at the MLE")
-    baseline = breslow_baseline(X, time, event, beta, layout=layout)
-    return CoxFit(beta=beta, covariance=cov, baseline=baseline, layout=layout)
+    return CoxFit(beta=beta, covariance=cov, layout=layout)
 
 
 def breslow_baseline(X, time, event, beta, layout: CoxLayout | None = None) -> StepCumHazard:

@@ -1,7 +1,14 @@
-"""Monte-Carlo simulation lab: data generators, missingness, replication runner.
+"""Monte-Carlo simulation lab: study designs, missingness, replication runner.
 
-Three study designs are covered, each with methods drawn from
-{cc, fcs_linear, jav, smcfcs}:
+Each study design is one `Study` record in STUDIES, so a new design or
+covariate distribution is one table entry.  A record holds the outcome model
+(family, formula, true coefficients), a table from covariate distribution
+(a scenario's `variant`) to covariate draw, the linear predictor and the
+outcome draw, the missingness mechanisms and methods the design allows, the
+covariate models of chained-equations imputation, the design's builtin
+scenarios and the coefficients scripts/run_study_tables.py reports for them.
+The methods cc, fcs_linear, jav and smcfcs are the table METHODS.  Three
+designs are registered:
 
   quadratic     y = 4 - 4x + x^2 + e, x from a normal, log-normal, or
                 two-component normal mixture, all with mean 2 and variance 1
@@ -27,6 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -43,12 +51,15 @@ from .engines import (
     run_smcfcs,
 )
 from .fitters import FitError
-from .formula import Term, design_from_arrays, parse_formula, response_arrays
+from .formula import design_from_arrays, parse_formula, response_arrays
 from .pooling import PoolError, fit_each, pool
 from .rng import stream, subsequence
 from .substantive import FAMILIES, CovariateModelSpec, covariate_family
 
 __all__ = [
+    "Study",
+    "STUDIES",
+    "METHODS",
     "ScenarioConfig",
     "ScenarioSummary",
     "SummaryRow",
@@ -69,64 +80,211 @@ __all__ = [
 CALIBRATION_SEED = 932_001  # dedicated root for all calibration draws
 CALIBRATION_DRAWS = 1_000_000
 
-QUADRATIC_BETA = (4.0, -4.0, 1.0)
-INTERACTION_BETA = (0.0, 1.0, 1.0, 1.0)
-COX_BETA = (1.0, 1.0)
 COX_BASE_RATE = 0.002
 
 _LOGNORMAL_MU = math.log(math.sqrt(3.2))
 _LOGNORMAL_SD = math.sqrt(math.log(1.25))
 
-DGPS = ("quadratic", "interaction", "cox")
-QUADRATIC_VARIANTS = ("normal", "lognormal", "normal_mixture")
-INTERACTION_VARIANTS = (
-    "bvnormal",
-    "bvlognormal",
-    "quad_conditional",
-    "bern_normal",
-    "bern_lognormal",
-)
-METHODS = ("cc", "fcs_linear", "jav", "smcfcs")
+
+# ---------------------------------------------------------------------------
+# covariate draws: (n, rng) -> the partial-covariate columns
+
+def _column(name, values, kind=VariableKind.CONTINUOUS, role=VariableRole.PARTIAL_COVARIATE):
+    return Column(name, kind, role, values, np.ones(values.shape[0], dtype=bool))
+
+
+def _normal_x(n, rng):
+    return (_column("x", rng.normal(2.0, 1.0, n)),)
+
+
+def _lognormal_x(n, rng):
+    return (_column("x", np.exp(rng.normal(_LOGNORMAL_MU, _LOGNORMAL_SD, n))),)
+
+
+def _mixture_x(n, rng):
+    low = rng.random(n) < 0.5
+    sd = math.sqrt(0.234)
+    return (_column("x", np.where(low, rng.normal(1.125, sd, n), rng.normal(2.875, sd, n))),)
+
+
+def _bvnormal(n, rng):
+    z = rng.standard_normal((n, 2))
+    x1 = 2.0 + z[:, 0]
+    x2 = 2.0 + 0.5 * z[:, 0] + math.sqrt(0.75) * z[:, 1]
+    return _column("x1", x1), _column("x2", x2)
+
+
+def _bvlognormal(n, rng):
+    z = rng.standard_normal((n, 2))
+    l1 = _LOGNORMAL_MU + _LOGNORMAL_SD * z[:, 0]
+    l2 = _LOGNORMAL_MU + _LOGNORMAL_SD * (0.5 * z[:, 0] + math.sqrt(0.75) * z[:, 1])
+    return _column("x1", np.exp(l1)), _column("x2", np.exp(l2))
+
+
+def _quad_conditional(n, rng):
+    x1 = rng.normal(2.0, 1.0, n)
+    return _column("x1", x1), _column("x2", rng.normal((x1 - 2.0) ** 2, math.sqrt(2.0)))
+
+
+def _bern_normal(n, rng):
+    x1 = (rng.random(n) < 0.5).astype(float)
+    return _column("x1", x1, VariableKind.BINARY), _column("x2", rng.normal(x1, 1.0))
+
+
+def _bern_lognormal(n, rng):
+    x1 = (rng.random(n) < 0.5).astype(float)
+    x2 = x1 + np.exp(rng.normal(_LOGNORMAL_MU, _LOGNORMAL_SD, n))
+    return _column("x1", x1, VariableKind.BINARY), _column("x2", x2)
 
 
 # ---------------------------------------------------------------------------
-# covariate draws
+# outcome draws: (dgp, variant, linear predictor, rng) -> the outcome columns
 
-def _draw_quadratic_x(variant: str, n: int, rng) -> np.ndarray:
-    if variant == "normal":
-        return rng.normal(2.0, 1.0, n)
-    if variant == "lognormal":
-        return np.exp(rng.normal(_LOGNORMAL_MU, _LOGNORMAL_SD, n))
-    if variant == "normal_mixture":
-        low = rng.random(n) < 0.5
-        sd = math.sqrt(0.234)
-        return np.where(low, rng.normal(1.125, sd, n), rng.normal(2.875, sd, n))
-    raise ValueError(f"unknown quadratic covariate distribution {variant!r}")
+def _normal_outcome(dgp, variant, eta, rng):
+    """y = eta + e, with Var(e) the design's residual variance."""
+    sd = math.sqrt(residual_variance(dgp, variant))
+    return (_column("y", eta + rng.normal(0.0, sd, eta.shape[0]), role=VariableRole.OUTCOME),)
 
 
-def _draw_interaction_covs(variant: str, n: int, rng):
-    """(x1, x2, x1_is_binary)."""
-    if variant == "bvnormal":
-        z = rng.standard_normal((n, 2))
-        x1 = 2.0 + z[:, 0]
-        x2 = 2.0 + 0.5 * z[:, 0] + math.sqrt(0.75) * z[:, 1]
-        return x1, x2, False
-    if variant == "bvlognormal":
-        z = rng.standard_normal((n, 2))
-        l1 = _LOGNORMAL_MU + _LOGNORMAL_SD * z[:, 0]
-        l2 = _LOGNORMAL_MU + _LOGNORMAL_SD * (0.5 * z[:, 0] + math.sqrt(0.75) * z[:, 1])
-        return np.exp(l1), np.exp(l2), False
-    if variant == "quad_conditional":
-        x1 = rng.normal(2.0, 1.0, n)
-        x2 = rng.normal((x1 - 2.0) ** 2, math.sqrt(2.0))
-        return x1, x2, False
-    if variant == "bern_normal":
-        x1 = (rng.random(n) < 0.5).astype(float)
-        return x1, rng.normal(x1, 1.0), True
-    if variant == "bern_lognormal":
-        x1 = (rng.random(n) < 0.5).astype(float)
-        return x1, x1 + np.exp(rng.normal(_LOGNORMAL_MU, _LOGNORMAL_SD, n)), True
-    raise ValueError(f"unknown interaction covariate distribution {variant!r}")
+def _cox_outcome(dgp, variant, eta, rng):
+    """Event time at hazard COX_BASE_RATE exp(eta), censored at an
+    independent time at hazard COX_BASE_RATE."""
+    t = exp_hazard_times(eta, COX_BASE_RATE, rng)
+    c = exp_hazard_times(np.zeros(eta.shape[0]), COX_BASE_RATE, rng)
+    return (_column("w", np.minimum(t, c), role=VariableRole.TIME),
+            _column("d", (t < c).astype(float), VariableKind.BINARY, VariableRole.EVENT))
+
+
+# ---------------------------------------------------------------------------
+# methods: (cfg, family, formula, masked data, seed sequence) -> pooled
+# estimates and the low and high ends of their 95% intervals
+
+def _complete_case(family, formula, d: Dataset, level=0.95):
+    keep = np.ones(d.n, dtype=bool)
+    for col in d.partial_covariates():
+        keep &= col.observed
+    cols = {v: d.column(v).values[keep] for v in formula.variables}
+    X = design_from_arrays(formula.terms, formula.intercept, cols, int(keep.sum()))
+    model = FAMILIES[family]
+    fit = model.fit(X, model.prepare(*(r[keep] for r in response_arrays(formula, d))))
+    se = np.sqrt(fit.coef_variances())
+    q = model.quantile(fit, 0.5 * (1.0 + level))
+    return fit.beta, fit.beta - q * se, fit.beta + q * se
+
+
+def _pooled(result, family, formula):
+    estimates, variances = fit_each(result, family, formula)
+    pooled = pool(estimates, variances)
+    return pooled.point, pooled.ci_low, pooled.ci_high
+
+
+def _fcs_linear(cfg, family, formula, d, seq):
+    """Chained equations with the study's covariate models."""
+    specs = []
+    for text in STUDIES[cfg.dgp].fcs_models:
+        model = parse_formula(text)
+        kind = d.column(model.response).kind
+        specs.append(CovariateModelSpec(model.response, covariate_family(kind),
+                                        predictors=model.terms))
+    config = EngineConfig(method="fcs", m=cfg.m, covariate_specs=tuple(specs))
+    return _pooled(run_fcs(d, config, rng=seq), family, formula)
+
+
+def _jav(cfg, family, formula, d, seq):
+    """Chained equations on the outcome model's terms as free-standing columns."""
+    dj = jav_dataset(formula, d)
+    config = EngineConfig(method="fcs", m=cfg.m,
+                          covariate_specs=default_covariate_specs(dj, "fcs"))
+    return _pooled(run_fcs(dj, config, rng=seq), family, jav_analysis_formula(formula))
+
+
+def _smcfcs(cfg, family, formula, d, seq):
+    config = EngineConfig(method="smcfcs", m=cfg.m, substantive=(family, formula),
+                          covariate_specs=default_covariate_specs(d, "smcfcs"))
+    return _pooled(run_smcfcs(d, config, rng=seq), family, formula)
+
+
+METHODS = {
+    "cc": lambda cfg, family, formula, d, seq: _complete_case(family, formula, d),
+    "fcs_linear": _fcs_linear,
+    "jav": _jav,
+    "smcfcs": _smcfcs,
+}
+
+
+# ---------------------------------------------------------------------------
+# study designs
+
+@dataclass(frozen=True)
+class Study:
+    """One simulation design; see the module docstring."""
+
+    family: str  # outcome-model family
+    formula: str  # outcome model
+    beta: tuple[float, ...]  # true coefficients
+    draws: dict[str | None, Callable]  # variant -> covariate draw
+    linpred: Callable  # (beta, *covariate values) -> linear predictor
+    outcome: Callable  # outcome draw
+    mechanisms: tuple[str, ...]
+    methods: tuple[str, ...]
+    fcs_models: tuple[str, ...]  # fcs_linear's covariate models, "target ~ predictors"
+    reported: tuple[str, ...]  # coefficients scripts/run_study_tables.py prints
+    # builtin scenario name -> its ScenarioConfig fields; methods default to
+    # every method the study allows
+    builtins: dict[str, dict]
+
+
+def _grid(prefix, variants, **fields):
+    """Builtin scenarios: each covariate distribution (short name: variant)
+    under each missingness mechanism."""
+    return {f"{prefix}-{short}-{mechanism}": dict(variant=variant, mechanism=mechanism, **fields)
+            for short, variant in variants.items() for mechanism in ("mcar", "mar")}
+
+
+STUDIES = {
+    "quadratic": Study(
+        family="normal_linear", formula="y ~ x + x^2", beta=(4.0, -4.0, 1.0),
+        draws={"normal": _normal_x, "lognormal": _lognormal_x, "normal_mixture": _mixture_x},
+        linpred=lambda b, x: b[0] + b[1] * x + b[2] * x * x,
+        outcome=_normal_outcome, mechanisms=("mcar", "mar"), methods=tuple(METHODS),
+        fcs_models=("x ~ y",), reported=("x^2",),
+        builtins=_grid("quad", {"normal": "normal", "lognormal": "lognormal",
+                                "mixture": "normal_mixture"},
+                       methods=("fcs_linear", "jav", "smcfcs")),
+    ),
+    "interaction": Study(
+        family="normal_linear", formula="y ~ x1 + x2 + x1*x2", beta=(0.0, 1.0, 1.0, 1.0),
+        draws={"bvnormal": _bvnormal, "bvlognormal": _bvlognormal,
+               "quad_conditional": _quad_conditional, "bern_normal": _bern_normal,
+               "bern_lognormal": _bern_lognormal},
+        linpred=lambda b, x1, x2: b[0] + b[1] * x1 + b[2] * x2 + b[3] * x1 * x2,
+        outcome=_normal_outcome, mechanisms=("mcar", "mar"), methods=tuple(METHODS),
+        fcs_models=("x1 ~ y + x2 + y*x2", "x2 ~ y + x1 + y*x1"), reported=("x1", "x1*x2"),
+        builtins=_grid("interact", {"bvnormal": "bvnormal", "bvlognormal": "bvlognormal",
+                                    "quadcond": "quad_conditional",
+                                    "bernnormal": "bern_normal",
+                                    "bernlognormal": "bern_lognormal"}),
+    ),
+    "cox": Study(
+        family="cox", formula="surv(w,d) ~ x1 + x2", beta=(1.0, 1.0),
+        draws={None: _bern_normal},
+        linpred=lambda b, x1, x2: b[0] * x1 + b[1] * x2,
+        outcome=_cox_outcome, mechanisms=("mcar",), methods=("cc", "fcs_linear", "smcfcs"),
+        fcs_models=(f"x1 ~ x2 + d + {CUMHAZ}", f"x2 ~ x1 + d + {CUMHAZ}"),
+        reported=("x1", "x2"),
+        builtins={f"cox-n{n}": dict(variant=None, mechanism="mcar", n=n) for n in (1000, 100)},
+    ),
+}
+
+
+def _draw_linpred(dgp, variant, n: int, rng):
+    """n draws of a study's partial-covariate columns from its covariate
+    distribution `variant`, and their linear predictor."""
+    study = STUDIES.get(dgp)
+    if study is None or variant not in study.draws:
+        raise ValueError(f"unknown {dgp} covariate distribution {variant!r}")
+    covariates = study.draws[variant](n, rng)
+    return covariates, study.linpred(study.beta, *(c.values for c in covariates))
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +327,11 @@ def residual_variance(dgp: str, variant: str) -> float:
 @lru_cache(maxsize=None)
 def _residual_variance_mc(dgp: str, variant: str) -> float:
     """Var(g(X)) over 10^6 draws from the calibration stream."""
-    rng = stream(CALIBRATION_SEED, "sigma", dgp, variant)
-    if dgp == "quadratic":
-        x = _draw_quadratic_x(variant, CALIBRATION_DRAWS, rng)
-        b0, b1, b2 = QUADRATIC_BETA
-        g = b0 + b1 * x + b2 * x * x
-    elif dgp == "interaction":
-        x1, x2, _ = _draw_interaction_covs(variant, CALIBRATION_DRAWS, rng)
-        b0, b1, b2, b3 = INTERACTION_BETA
-        g = b0 + b1 * x1 + b2 * x2 + b3 * x1 * x2
-    else:
+    study = STUDIES.get(dgp)
+    if study is None or study.outcome is not _normal_outcome:
         raise ValueError(f"no residual variance for dgp {dgp!r}")
+    rng = stream(CALIBRATION_SEED, "sigma", dgp, variant)
+    _, g = _draw_linpred(dgp, variant, CALIBRATION_DRAWS, rng)
     return float(np.var(g))
 
 
@@ -229,14 +381,11 @@ def mar_intercept(dgp: str, variant: str, target_p: float) -> tuple[float, float
 @lru_cache(maxsize=None)
 def _mar_intercept_mc(dgp: str, variant: str, target_p: float) -> tuple[float, float]:
     """mar_intercept from a 10^6-draw sample of the calibration stream."""
-    rng = stream(CALIBRATION_SEED, "mar", dgp, variant)
-    if dgp == "quadratic":
-        d = gen_quadratic(variant, CALIBRATION_DRAWS, rng)
-    elif dgp == "interaction":
-        d = gen_interaction(variant, CALIBRATION_DRAWS, rng)
-    else:
+    study = STUDIES.get(dgp)
+    if study is None or "mar" not in study.mechanisms:
         raise ValueError("the missing-at-random mechanism is defined through the outcome y")
-    y = d.column("y").values
+    rng = stream(CALIBRATION_SEED, "mar", dgp, variant)
+    y = _generate(dgp, variant, CALIBRATION_DRAWS, rng).column("y").values
     alpha1 = -1.0 / float(np.std(y))
     return calibrate_mar_intercept(y, alpha1, target_p), alpha1
 
@@ -244,53 +393,28 @@ def _mar_intercept_mc(dgp: str, variant: str, target_p: float) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # data-generating processes
 
+def _generate(dgp, variant, n: int, rng) -> Dataset:
+    """n draws of a study's covariates, then of its outcome given them."""
+    covariates, eta = _draw_linpred(dgp, variant, n, rng)
+    return Dataset(covariates + STUDIES[dgp].outcome(dgp, variant, eta, rng))
+
+
 def gen_quadratic(x_dist: str, n: int, rng) -> Dataset:
-    x = _draw_quadratic_x(x_dist, n, rng)
-    b0, b1, b2 = QUADRATIC_BETA
-    sd = math.sqrt(residual_variance("quadratic", x_dist))
-    y = b0 + b1 * x + b2 * x * x + rng.normal(0.0, sd, n)
-    full = np.ones(n, dtype=bool)
-    return Dataset((
-        Column("x", VariableKind.CONTINUOUS, VariableRole.PARTIAL_COVARIATE, x, full.copy()),
-        Column("y", VariableKind.CONTINUOUS, VariableRole.OUTCOME, y, full),
-    ))
+    return _generate("quadratic", x_dist, n, rng)
 
 
 def gen_interaction(cov_dist: str, n: int, rng) -> Dataset:
-    x1, x2, binary = _draw_interaction_covs(cov_dist, n, rng)
-    b0, b1, b2, b3 = INTERACTION_BETA
-    sd = math.sqrt(residual_variance("interaction", cov_dist))
-    y = b0 + b1 * x1 + b2 * x2 + b3 * x1 * x2 + rng.normal(0.0, sd, n)
-    kind1 = VariableKind.BINARY if binary else VariableKind.CONTINUOUS
-    full = np.ones(n, dtype=bool)
-    return Dataset((
-        Column("x1", kind1, VariableRole.PARTIAL_COVARIATE, x1, full.copy()),
-        Column("x2", VariableKind.CONTINUOUS, VariableRole.PARTIAL_COVARIATE, x2, full.copy()),
-        Column("y", VariableKind.CONTINUOUS, VariableRole.OUTCOME, y, full),
-    ))
+    return _generate("interaction", cov_dist, n, rng)
+
+
+def gen_cox(n: int, rng) -> Dataset:
+    return _generate("cox", None, n, rng)
 
 
 def exp_hazard_times(linpred: np.ndarray, rate: float, rng) -> np.ndarray:
     """Event times by inversion: T = -log(U) / (rate * exp(linpred))."""
     u = rng.random(linpred.shape[0])
     return -np.log1p(-u) / (rate * np.exp(linpred))
-
-
-def gen_cox(n: int, rng) -> Dataset:
-    x1 = (rng.random(n) < 0.5).astype(float)
-    x2 = rng.normal(x1, 1.0)
-    b1, b2 = COX_BETA
-    t = exp_hazard_times(b1 * x1 + b2 * x2, COX_BASE_RATE, rng)
-    c = exp_hazard_times(np.zeros(n), COX_BASE_RATE, rng)
-    w = np.minimum(t, c)
-    d = (t < c).astype(float)
-    full = np.ones(n, dtype=bool)
-    return Dataset((
-        Column("x1", VariableKind.BINARY, VariableRole.PARTIAL_COVARIATE, x1, full.copy()),
-        Column("x2", VariableKind.CONTINUOUS, VariableRole.PARTIAL_COVARIATE, x2, full.copy()),
-        Column("w", VariableKind.CONTINUOUS, VariableRole.TIME, w, full.copy()),
-        Column("d", VariableKind.BINARY, VariableRole.EVENT, d, full),
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +453,8 @@ def apply_mar(d: Dataset, alpha0: float, alpha1: float, rng) -> Dataset:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dgp: str  # quadratic | interaction | cox
-    variant: str | None  # covariate distribution; None for cox
+    dgp: str  # a key of STUDIES
+    variant: str | None  # covariate distribution: a key of the study's draws
     mechanism: str  # mcar | mar
     n: int = 1000
     reps: int = 200
@@ -347,16 +471,14 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a string, not {value!r}")
         if isinstance(self.p_obs, bool) or not isinstance(self.p_obs, numbers.Real):
             raise ValueError(f"p_obs must be a number, not {self.p_obs!r}")
-        if self.dgp not in DGPS:
+        study = STUDIES.get(self.dgp)
+        if study is None:
             raise ValueError(f"unknown dgp {self.dgp!r}")
-        if self.dgp == "quadratic" and self.variant not in QUADRATIC_VARIANTS:
-            raise ValueError(f"unknown quadratic variant {self.variant!r}")
-        if self.dgp == "interaction" and self.variant not in INTERACTION_VARIANTS:
-            raise ValueError(f"unknown interaction variant {self.variant!r}")
-        if self.mechanism not in ("mcar", "mar"):
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.dgp == "cox" and self.mechanism == "mar":
-            raise ValueError("the cox study uses the completely-at-random mechanism")
+        for name, allowed in (("variant", tuple(study.draws)), ("mechanism", study.mechanisms)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(map(repr, allowed))} "
+                                 f"for the {self.dgp} study, not {value!r}")
         if not 0.0 < self.p_obs < 1.0:
             raise ValueError("p_obs must be in (0, 1)")
         for name, low in (("n", 1), ("reps", 1), ("m", 2), ("seed", 0)):
@@ -369,11 +491,9 @@ class ScenarioConfig:
             isinstance(method, str) for method in self.methods
         ):
             raise ValueError(f"methods must be a list of method names, not {self.methods!r}")
-        unknown = [method for method in self.methods if method not in METHODS]
+        unknown = [method for method in self.methods if method not in study.methods]
         if unknown:
-            raise ValueError(f"unknown method {unknown[0]!r}")
-        if "jav" in self.methods and self.dgp == "cox":
-            raise ValueError("just-another-variable imputation is not defined for the cox study")
+            raise ValueError(f"method {unknown[0]!r} is not defined for the {self.dgp} study")
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.name:
             variant = self.variant or f"n{self.n}"
@@ -382,22 +502,9 @@ class ScenarioConfig:
 
 def scenario_truth(cfg: ScenarioConfig):
     """(family, formula, truth vector, coefficient labels)."""
-    if cfg.dgp == "quadratic":
-        formula = parse_formula("y ~ x + x^2")
-        return "normal_linear", formula, np.array(QUADRATIC_BETA), formula.labels()
-    if cfg.dgp == "interaction":
-        formula = parse_formula("y ~ x1 + x2 + x1*x2")
-        return "normal_linear", formula, np.array(INTERACTION_BETA), formula.labels()
-    formula = parse_formula("surv(w,d) ~ x1 + x2")
-    return "cox", formula, np.array(COX_BETA), formula.labels()
-
-
-def _generate(cfg: ScenarioConfig, rng) -> Dataset:
-    if cfg.dgp == "quadratic":
-        return gen_quadratic(cfg.variant, cfg.n, rng)
-    if cfg.dgp == "interaction":
-        return gen_interaction(cfg.variant, cfg.n, rng)
-    return gen_cox(cfg.n, rng)
+    study = STUDIES[cfg.dgp]
+    formula = parse_formula(study.formula)
+    return study.family, formula, np.array(study.beta), formula.labels()
 
 
 def _mask(cfg: ScenarioConfig, d: Dataset, rng) -> Dataset:
@@ -407,81 +514,15 @@ def _mask(cfg: ScenarioConfig, d: Dataset, rng) -> Dataset:
     return apply_mar(d, alpha0, alpha1, rng)
 
 
-def _fcs_config(cfg: ScenarioConfig, d: Dataset) -> EngineConfig:
-    if cfg.dgp == "quadratic":
-        specs = (CovariateModelSpec("x", "normal_linear", predictors=(Term((("y", 1),)),)),)
-        return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
-    if cfg.dgp == "interaction":
-        specs = (
-            CovariateModelSpec("x1", covariate_family(d.column("x1").kind),
-                               predictors=(Term((("y", 1),)), Term((("x2", 1),)),
-                                           Term((("y", 1), ("x2", 1))))),
-            CovariateModelSpec("x2", "normal_linear",
-                               predictors=(Term((("y", 1),)), Term((("x1", 1),)),
-                                           Term((("y", 1), ("x1", 1))))),
-        )
-        return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
-    specs = (
-        CovariateModelSpec("x1", "logistic",
-                           predictors=(Term((("x2", 1),)), Term((("d", 1),)),
-                                       Term(((CUMHAZ, 1),)))),
-        CovariateModelSpec("x2", "normal_linear",
-                           predictors=(Term((("x1", 1),)), Term((("d", 1),)),
-                                       Term(((CUMHAZ, 1),)))),
-    )
-    return EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
-
-
-def _complete_case(family, formula, d: Dataset, level=0.95):
-    keep = np.ones(d.n, dtype=bool)
-    for col in d.partial_covariates():
-        keep &= col.observed
-    cols = {v: d.column(v).values[keep] for v in formula.variables}
-    X = design_from_arrays(formula.terms, formula.intercept, cols, int(keep.sum()))
-    model = FAMILIES[family]
-    fit = model.fit(X, model.prepare(*(r[keep] for r in response_arrays(formula, d))))
-    se = np.sqrt(fit.coef_variances())
-    q = model.quantile(fit, 0.5 * (1.0 + level))
-    return fit.beta, fit.beta - q * se, fit.beta + q * se
-
-
-def _run_method(cfg: ScenarioConfig, method: str, d: Dataset, seq):
-    family, formula, _, _ = scenario_truth(cfg)
-    if method == "cc":
-        return _complete_case(family, formula, d)
-    if method == "fcs_linear":
-        engine_cfg = _fcs_config(cfg, d)
-        result = run_fcs(d, engine_cfg, rng=seq)
-        fit_formula = formula
-    elif method == "jav":
-        dj = jav_dataset(formula, d)
-        engine_cfg = EngineConfig(method="fcs", m=cfg.m,
-                                  covariate_specs=default_covariate_specs(dj, "fcs"))
-        result = run_fcs(dj, engine_cfg, rng=seq)
-        fit_formula = jav_analysis_formula(formula)
-    elif method == "smcfcs":
-        engine_cfg = EngineConfig(
-            method="smcfcs",
-            m=cfg.m,
-            substantive=(family, formula),
-            covariate_specs=default_covariate_specs(d, "smcfcs"),
-        )
-        result = run_smcfcs(d, engine_cfg, rng=seq)
-        fit_formula = formula
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    estimates, variances = fit_each(result, family, fit_formula)
-    pooled = pool(estimates, variances)
-    return pooled.point, pooled.ci_low, pooled.ci_high
-
-
 def _run_replication(cfg: ScenarioConfig, rep: int):
-    d_full = _generate(cfg, stream(cfg.seed, "rep", rep, "data"))
+    d_full = _generate(cfg.dgp, cfg.variant, cfg.n, stream(cfg.seed, "rep", rep, "data"))
     d = _mask(cfg, d_full, stream(cfg.seed, "rep", rep, "mask"))
+    family, formula, _, _ = scenario_truth(cfg)
     out = {}
     for method in cfg.methods:
         try:
-            out[method] = _run_method(cfg, method, d, subsequence(cfg.seed, "rep", rep, method))
+            out[method] = METHODS[method](cfg, family, formula, d,
+                                          subsequence(cfg.seed, "rep", rep, method))
         except (FitError, EngineFailure, PoolError, DataError):
             out[method] = None
     return out
@@ -517,7 +558,7 @@ class ScenarioSummary:
 
     def row(self, method: str, parameter: str) -> SummaryRow:
         for r in self.rows:
-            if r.method == method and r.parameter == parameter:
+            if (r.method, r.parameter) == (method, parameter):
                 return r
         raise KeyError((method, parameter))
 
@@ -583,33 +624,5 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:
     """Named configurations covering every simulation scenario of the studies."""
-    out: dict[str, ScenarioConfig] = {}
-    quad_variants = {"normal": "normal", "lognormal": "lognormal", "mixture": "normal_mixture"}
-    for short, variant in quad_variants.items():
-        for mech in ("mcar", "mar"):
-            name = f"quad-{short}-{mech}"
-            out[name] = ScenarioConfig(
-                dgp="quadratic", variant=variant, mechanism=mech,
-                methods=("fcs_linear", "jav", "smcfcs"), name=name,
-            )
-    inter_variants = {
-        "bvnormal": "bvnormal",
-        "bvlognormal": "bvlognormal",
-        "quadcond": "quad_conditional",
-        "bernnormal": "bern_normal",
-        "bernlognormal": "bern_lognormal",
-    }
-    for short, variant in inter_variants.items():
-        for mech in ("mcar", "mar"):
-            name = f"interact-{short}-{mech}"
-            out[name] = ScenarioConfig(
-                dgp="interaction", variant=variant, mechanism=mech,
-                methods=("cc", "fcs_linear", "jav", "smcfcs"), name=name,
-            )
-    for n in (1000, 100):
-        name = f"cox-n{n}"
-        out[name] = ScenarioConfig(
-            dgp="cox", variant=None, mechanism="mcar", n=n,
-            methods=("cc", "fcs_linear", "smcfcs"), name=name,
-        )
-    return out
+    return {name: ScenarioConfig(**{"dgp": dgp, "name": name, "methods": study.methods, **fields})
+            for dgp, study in STUDIES.items() for name, fields in study.builtins.items()}

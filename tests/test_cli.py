@@ -297,9 +297,10 @@ def test_simulate_negative_seed_names_the_seed_flag(tmp_path, capsys):
     ("methods", 5), ("methods", [1]), ("reps", 1.5), ("n", "abc"), ("n", 0),
     ("m", 1), ("seed", -1), ("seed", True),
     ("p_obs", "x"), ("dgp", 3), ("variant", ["normal"]), ("mechanism", None), ("name", 7),
+    ("variant", "bvnormal"),  # a variant of another study: the cox study has none
 ])
 def test_simulate_bad_scenario_json_field_is_usage_error(tmp_path, capsys, field, value):
-    raw = {"dgp": "quadratic", "variant": "normal", "mechanism": "mcar", "n": 200,
+    raw = {"dgp": "cox", "variant": None, "mechanism": "mcar", "n": 200,
            "reps": 2, "m": 2, "methods": ["cc"], "seed": 12, field: value}
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(raw))

@@ -77,6 +77,16 @@ def test_package_imports_neither_scipy_nor_process_pools():
     assert out.stdout.strip() == ""
 
 
+def test_cli_loads_the_simulation_lab_only_to_simulate():
+    out = _run(
+        "import sys\n"
+        "import smcimpute.cli\n"
+        "print('smcimpute.simlab' in sys.modules)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_every_cli_command_runs_where_scipy_cannot_be_imported(tmp_path):
     out = _run(WITHOUT_SCIPY, str(tmp_path))
     assert out.returncode == 0, out.stderr[-3000:]

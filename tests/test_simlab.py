@@ -368,6 +368,51 @@ def test_builtin_scenarios_cover_all_studies():
     assert cox.methods == ("cc", "fcs_linear", "smcfcs")
 
 
+QUAD_METHODS = ("fcs_linear", "jav", "smcfcs")
+INTERACT_METHODS = ("cc", "fcs_linear", "jav", "smcfcs")
+COX_METHODS = ("cc", "fcs_linear", "smcfcs")
+
+# name, dgp, variant, mechanism, n, methods, p_obs of every builtin, in order
+BUILTIN_SCENARIOS = [
+    ("quad-normal-mcar", "quadratic", "normal", "mcar", 1000, QUAD_METHODS, 0.7),
+    ("quad-normal-mar", "quadratic", "normal", "mar", 1000, QUAD_METHODS, 0.7),
+    ("quad-lognormal-mcar", "quadratic", "lognormal", "mcar", 1000, QUAD_METHODS, 0.7),
+    ("quad-lognormal-mar", "quadratic", "lognormal", "mar", 1000, QUAD_METHODS, 0.7),
+    ("quad-mixture-mcar", "quadratic", "normal_mixture", "mcar", 1000, QUAD_METHODS, 0.7),
+    ("quad-mixture-mar", "quadratic", "normal_mixture", "mar", 1000, QUAD_METHODS, 0.7),
+    ("interact-bvnormal-mcar", "interaction", "bvnormal", "mcar", 1000, INTERACT_METHODS, 0.7),
+    ("interact-bvnormal-mar", "interaction", "bvnormal", "mar", 1000, INTERACT_METHODS, 0.7),
+    ("interact-bvlognormal-mcar", "interaction", "bvlognormal", "mcar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-bvlognormal-mar", "interaction", "bvlognormal", "mar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-quadcond-mcar", "interaction", "quad_conditional", "mcar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-quadcond-mar", "interaction", "quad_conditional", "mar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-bernnormal-mcar", "interaction", "bern_normal", "mcar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-bernnormal-mar", "interaction", "bern_normal", "mar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-bernlognormal-mcar", "interaction", "bern_lognormal", "mcar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("interact-bernlognormal-mar", "interaction", "bern_lognormal", "mar", 1000,
+     INTERACT_METHODS, 0.7),
+    ("cox-n1000", "cox", None, "mcar", 1000, COX_METHODS, 0.7),
+    ("cox-n100", "cox", None, "mcar", 100, COX_METHODS, 0.7),
+]
+
+
+def test_builtin_scenarios_match_the_pinned_table():
+    catalog = builtin_scenarios()
+    assert list(catalog) == [row[0] for row in BUILTIN_SCENARIOS]
+    for name, dgp, variant, mechanism, n, methods, p_obs in BUILTIN_SCENARIOS:
+        cfg = catalog[name]
+        got = (cfg.name, cfg.dgp, cfg.variant, cfg.mechanism, cfg.n, cfg.methods, cfg.p_obs)
+        assert got == (name, dgp, variant, mechanism, n, methods, p_obs)
+        assert (cfg.reps, cfg.m, cfg.seed) == (200, 10, 2012)
+
+
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(dgp="quadratic", variant="weird", mechanism="mcar")
@@ -375,3 +420,18 @@ def test_scenario_config_validation():
         ScenarioConfig(dgp="cox", variant=None, mechanism="mar")
     with pytest.raises(ValueError):
         ScenarioConfig(dgp="cox", variant=None, mechanism="mcar", methods=("jav",))
+    with pytest.raises(ValueError, match="variant"):
+        ScenarioConfig(dgp="cox", variant="bvnormal", mechanism="mcar", methods=("cc", "smcfcs"))
+
+
+def test_study_tables_script_rejects_an_unknown_scenario_as_usage_error():
+    root = Path(simlab.__file__).resolve().parents[2]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_study_tables.py"), "--scenario", "nope"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert "invalid choice: 'nope'" in out.stderr
+    assert all(name in out.stderr for name in builtin_scenarios())
+    assert "Traceback" not in out.stderr
