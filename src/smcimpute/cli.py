@@ -1,7 +1,10 @@
 """Command-line front end: impute, analyze, simulate.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numeric or engine
-failure.  All file outputs are written atomically (temp file + rename).
+failure.  `main` returns 2 for every usage error, argparse's own included,
+and prints it as one `error: ...` line.  Each flag's value is checked by its
+argparse `type`; the commands check only what needs a second flag or the
+data.  All file outputs are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .engines import (
 from .fitters import FitError
 from .formula import FormulaError, parse_formula
 from .pooling import PoolError, fit_each, pool
-from .substantive import CovariateModelSpec, covariate_family
+from .substantive import CovariateModelSpec, covariate_family, outcome_family
 
 __all__ = ["main"]
 
@@ -55,29 +58,59 @@ def _fail(flag: str, message: str):
     raise CliError(f"{flag}: {message}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError instead of exiting."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _flag_type(convert, valid=lambda value: True, reason=""):
+    """An argparse `type`: `convert` the text, then refuse what `valid` rejects."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except FormulaError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(reason)
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it: "invalid int value: 'abc'"
+    return parse
+
+
+_COUNT = _flag_type(int, lambda n: n >= 1, "must be >= 1")
+_SEED = _flag_type(int, lambda n: n >= 0, "must be >= 0")
+_LEVEL = _flag_type(float, lambda p: 0.0 < p < 1.0, "must be strictly between 0 and 1")
+_FORMULA = _flag_type(parse_formula)
+_COVMODEL = _flag_type(parse_formula, lambda f: not f.is_survival,
+                       "covariate model target must be a single column")
+
+
 # ---------------------------------------------------------------------------
 # schema and data files
 
 def read_schema(path):
     """Schema CSV with header name,kind,role."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         _fail("--schema", str(exc))
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"name", "kind", "role"}:
-            _fail("--schema", "header must be exactly: name,kind,role")
-        schema = []
-        for row in reader:
-            try:
-                kind = VariableKind(row["kind"])
-                role = VariableRole(row["role"])
-            except ValueError as exc:
-                _fail("--schema", str(exc))
-            if row["name"] in ("_imp", CUMHAZ):
-                _fail("--schema", f"column name {row['name']} is reserved")
-            schema.append((row["name"], kind, role))
+    if header is None or set(header) != {"name", "kind", "role"}:
+        _fail("--schema", "header must be exactly: name,kind,role")
+    schema = []
+    for row in rows:
+        try:
+            kind = VariableKind(row["kind"])
+            role = VariableRole(row["role"])
+        except ValueError as exc:
+            _fail("--schema", str(exc))
+        if row["name"] in ("_imp", CUMHAZ):
+            _fail("--schema", f"column name {row['name']} is reserved")
+        schema.append((row["name"], kind, role))
     if not schema:
         _fail("--schema", "no columns defined")
     return schema
@@ -87,9 +120,7 @@ def _load_dataset(args, schema):
     tokens = tuple(args.missing_token) if args.missing_token else DEFAULT_MISSING_TOKENS
     try:
         return read_csv(args.data, schema, missing_tokens=tokens)
-    except OSError as exc:
-        _fail("--data", str(exc))
-    except DataError as exc:
+    except (OSError, DataError) as exc:
         _fail("--data", str(exc))
 
 
@@ -154,13 +185,7 @@ def _covariate_specs_from_flags(args, d):
     if not args.covmodel:
         return default_covariate_specs(d, args.method)
     specs = []
-    for text in args.covmodel:
-        try:
-            f = parse_formula(text)
-        except FormulaError as exc:
-            _fail("--covmodel", str(exc))
-        if f.is_survival:
-            _fail("--covmodel", "covariate model target must be a single column")
+    for f in args.covmodel:
         target = f.response
         if not d.has_column(target):
             _fail("--covmodel", f"unknown target column {target!r}")
@@ -177,41 +202,28 @@ def _covariate_specs_from_flags(args, d):
 def cmd_impute(args) -> int:
     schema = read_schema(args.schema)
     d = _load_dataset(args, schema)
-    if args.m < 1:
-        _fail("--m", "must be >= 1")
-    if args.iter is not None and args.iter < 1:
-        _fail("--iter", "must be >= 1")
-    if args.seed < 0:
-        _fail("--seed", "must be >= 0")
+    substantive = None
     if args.method == "smcfcs":
         if not args.smodel:
             _fail("--smodel", "required when --method smcfcs")
         if not args.family:
             _fail("--family", "required when --method smcfcs")
+        substantive = (FAMILY_FLAGS[args.family], args.smodel)
         try:
-            formula = parse_formula(args.smodel)
+            outcome_family(*substantive)
         except FormulaError as exc:
             _fail("--smodel", str(exc))
-        substantive = (FAMILY_FLAGS[args.family], formula)
-    else:
-        substantive = None
-    specs = _covariate_specs_from_flags(args, d)
+    config = EngineConfig(
+        method=args.method,
+        m=args.m,
+        iterations=args.iter,
+        seed=args.seed,
+        substantive=substantive,
+        covariate_specs=_covariate_specs_from_flags(args, d),
+    )
+    run = run_fcs if args.method == "fcs" else run_smcfcs
     try:
-        config = EngineConfig(
-            method=args.method,
-            m=args.m,
-            iterations=args.iter,
-            seed=args.seed,
-            substantive=substantive,
-            covariate_specs=specs,
-        )
-    except ValueError as exc:
-        _fail("--method", str(exc))
-    try:
-        if args.method == "fcs":
-            result = run_fcs(d, config)
-        else:
-            result = run_smcfcs(d, config)
+        result = run(d, config)
     except SubstantiveModelError as exc:
         _fail("--smodel", str(exc))
     except DataError as exc:
@@ -230,16 +242,10 @@ def cmd_impute(args) -> int:
 # analyze
 
 def cmd_analyze(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        _fail("--level", "must be strictly between 0 and 1")
     schema = read_schema(args.schema)
     datasets = _read_long_csv(args.data, schema)
     if len(datasets) < 2:
         _fail("--data", "pooling needs at least 2 imputations")
-    try:
-        formula = parse_formula(args.smodel)
-    except FormulaError as exc:
-        _fail("--smodel", str(exc))
     family = FAMILY_FLAGS[args.family]
     print(
         "note: estimates from imputed data are reliable only when the imputation "
@@ -247,10 +253,10 @@ def cmd_analyze(args) -> int:
         file=sys.stderr,
     )
     try:
-        estimates, variances = fit_each(datasets, family, formula)
+        estimates, variances = fit_each(datasets, family, args.smodel)
     except FormulaError as exc:
         _fail("--smodel", str(exc))
-    pooled = pool(estimates, variances, level=args.level, terms=formula.labels())
+    pooled = pool(estimates, variances, level=args.level, terms=args.smodel.labels())
     atomic_write_text(args.out, pooled.to_csv_text())
     return 0
 
@@ -264,19 +270,17 @@ def _load_scenario(args):
 
     from .simlab import ScenarioConfig, builtin_scenarios
 
-    if args.reps is not None and args.reps < 1:
-        _fail("--reps", "must be >= 1")
-    if args.seed is not None and args.seed < 0:
-        _fail("--seed", "must be >= 0")
     catalog = builtin_scenarios()
     if args.scenario in catalog:
         cfg = catalog[args.scenario]
     elif os.path.exists(args.scenario):
-        with open(args.scenario) as fh:
-            try:
+        try:
+            with open(args.scenario) as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                _fail("--scenario", f"bad JSON: {exc}")
+        except OSError as exc:
+            _fail("--scenario", str(exc))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+            _fail("--scenario", f"bad JSON: {exc}")
         if not isinstance(raw, dict):
             _fail("--scenario", "JSON must be an object of ScenarioConfig fields")
         raw.setdefault("name", os.path.splitext(os.path.basename(args.scenario))[0])
@@ -298,8 +302,6 @@ def cmd_simulate(args) -> int:
     from .simlab import run_scenario
 
     cfg = _load_scenario(args)
-    if args.threads < 1:
-        _fail("--threads", "must be >= 1")
     summary = run_scenario(cfg, threads=args.threads)
     atomic_write_text(args.out, summary.to_csv_text())
     print(f"{cfg.name}: {summary.n_used}/{summary.n_reps} replications pooled",
@@ -311,7 +313,7 @@ def cmd_simulate(args) -> int:
 # parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smcimpute",
         description="Multiple imputation of partially observed regression covariates",
     )
@@ -321,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--method", required=True, choices=("fcs", "smcfcs"))
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_COUNT, default=10)
+    p.add_argument("--iter", type=_COUNT, default=None)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--family", choices=tuple(FAMILY_FLAGS))
-    p.add_argument("--smodel")
-    p.add_argument("--covmodel", action="append", default=[])
+    p.add_argument("--smodel", type=_FORMULA)
+    p.add_argument("--covmodel", type=_COVMODEL, action="append", default=[])
     p.add_argument("--missing-token", action="append", default=[])
     p.set_defaults(func=cmd_impute)
 
@@ -335,24 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="long-format CSV with an _imp column")
     p.add_argument("--schema", required=True)
     p.add_argument("--family", required=True, choices=tuple(FAMILY_FLAGS))
-    p.add_argument("--smodel", required=True)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--smodel", required=True, type=_FORMULA)
+    p.add_argument("--level", type=_LEVEL, default=0.95)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run a simulation scenario")
     p.add_argument("--scenario", required=True, help="builtin name or JSON config path")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--reps", type=_COUNT, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
+    p.add_argument("--threads", type=_COUNT, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

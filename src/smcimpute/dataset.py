@@ -251,8 +251,8 @@ def format_rows(columns: Sequence[Sequence[str]]) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def write_csv(d: Dataset, path, missing_token: str = "") -> None:
-    """Write a dataset; unobserved cells come out as the missing token.
+def write_csv(d: Dataset, path) -> None:
+    """Write a dataset; unobserved cells come out empty.
 
     Values are formatted with repr so a read-back reproduces them bit-exactly.
     The rows go to the file CHUNK_ROWS at a time.
@@ -265,7 +265,7 @@ def write_csv(d: Dataset, path, missing_token: str = "") -> None:
             for col in d.columns:
                 cells = format_values(col.values[rows])
                 for i in np.flatnonzero(~col.observed[rows]).tolist():
-                    cells[i] = missing_token
+                    cells[i] = ""
                 columns.append(cells)
             yield format_rows(columns)
 

@@ -462,9 +462,11 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     model, response = ctx.model, ctx.response
     for name in ctx.sampled:
         X = _design(formula, cur, ctx.d.n)
-        fit = model.fit(X, response, warm.get("_psi"))
+        # the covariate models' warm starts are keyed by column name, so the
+        # outcome model's takes a key no column can have
+        fit = model.fit(X, response, warm.get(None))
         psi = model.draw(fit, X, response, rng)
-        warm["_psi"] = fit.beta
+        warm[None] = fit.beta
         diag.record_trace(imp, sweep, f"psi[{name}]", formula.labels(), psi.beta)
         if psi.sigma2 is not None:
             diag.record_trace(imp, sweep, f"psi[{name}]", ["sigma2"], [psi.sigma2])

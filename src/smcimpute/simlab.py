@@ -459,7 +459,7 @@ class ScenarioConfig:
     n: int = 1000
     reps: int = 200
     m: int = 10
-    methods: tuple[str, ...] = ("fcs_linear", "jav", "smcfcs")
+    methods: tuple[str, ...] | None = None  # default: fcs_linear, jav, smcfcs where defined
     seed: int = 2012
     p_obs: float = P_OBS
     name: str = ""
@@ -487,6 +487,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if self.methods is None:
+            object.__setattr__(self, "methods", tuple(
+                method for method in ("fcs_linear", "jav", "smcfcs") if method in study.methods))
         if not isinstance(self.methods, (list, tuple)) or not all(
             isinstance(method, str) for method in self.methods
         ):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import tracemalloc
 
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcimpute.cli import _read_long_csv, _write_long_csv, main, read_schema
-from smcimpute.dataset import Column, Dataset, write_csv
+from smcimpute.dataset import DEFAULT_MISSING_TOKENS, Column, Dataset, write_csv
+from smcimpute.formula import parse_formula
 from smcimpute.rng import stream
 from smcimpute.simlab import apply_mcar, gen_quadratic
 
@@ -414,3 +417,268 @@ def test_reading_a_long_csv_holds_little_beyond_its_numbers(tmp_path):
         tracemalloc.stop()
     assert len(datasets) == m and datasets[0].n == n
     assert peak < 3 * payload
+
+
+# ---------------------------------------------------------------------------
+# usage errors: exit code 2 and one error line, argparse's own errors included
+
+@pytest.mark.parametrize("argv, flag", [
+    (["impute", "--data", "d.csv", "--schema", "s.csv", "--method", "fcs", "--m", "abc",
+      "--out", "o.csv"], "--m"),
+    (["impute", "--data", "d.csv", "--schema", "s.csv", "--method", "fcs", "--m", "0",
+      "--out", "o.csv"], "--m"),
+    (["impute", "--data", "d.csv", "--schema", "s.csv", "--method", "fcs"], "--out"),
+    ([], "subcommand"),
+    (["analyze", "--data", "d.csv", "--schema", "s.csv", "--family", "linear",
+      "--smodel", "y ~ x", "--level", "2", "--out", "p.csv"], "--level"),
+    (["impute", "--data", "d.csv", "--schema", "s.csv", "--method", "smcfcs",
+      "--family", "linear", "--smodel", "y ~ + x", "--out", "o.csv"], "--smodel"),
+])
+def test_usage_error_returns_2_with_one_error_line_naming_the_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and flag in lines[0]
+
+
+@pytest.mark.parametrize("family, smodel", [
+    ("cox", "y ~ x1 + x2"),
+    ("linear", "surv(w,d) ~ x1"),
+])
+def test_impute_outcome_family_mismatch_names_the_smodel_flag(quad_files, capsys,
+                                                             family, smodel):
+    tmp, data, schema = quad_files
+    argv = impute_args(data, schema, tmp / "o.csv")
+    argv[argv.index("--family") + 1] = family
+    argv[argv.index("--smodel") + 1] = smodel
+    assert run(argv) == 2
+    assert ("--smodel: formula response does not match the outcome family"
+            in capsys.readouterr().err)
+
+
+def test_impute_smcfcs_with_a_partial_covariate_named_psi(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 80
+    psi = (rng.random(n) < 0.5).astype(float)
+    x2 = rng.normal(size=n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(psi + x2)))).astype(float)
+    lines = ["_psi,x2,y"] + [f"{'' if i % 4 == 0 else repr(a)},{b!r},{c!r}"
+                             for i, (a, b, c) in enumerate(zip(psi.tolist(), x2.tolist(),
+                                                               y.tolist()))]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(lines) + "\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text("name,kind,role\n_psi,binary,partial_covariate\n"
+                      "x2,continuous,complete_covariate\ny,binary,outcome\n")
+    out = tmp_path / "o.csv"
+    assert run(["impute", "--data", data, "--schema", schema, "--method", "smcfcs",
+                "--family", "logistic", "--smodel", "y ~ _psi + x2", "--m", 2, "--iter", 3,
+                "--out", out]) == 0
+    rows = read_rows(out)
+    assert {r["_psi"] for r in rows} <= {"0.0", "1.0"}
+
+
+def test_simulate_cox_scenario_json_without_methods_runs_the_cox_methods(tmp_path):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"dgp": "cox", "variant": null, "mechanism": "mcar", "n": 200,'
+                   ' "reps": 2, "m": 2}')
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--scenario", cfg, "--out", out]) == 0
+    assert {r["method"] for r in read_rows(out)} == {"fcs_linear", "smcfcs"}
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--schema", b"\xff\xfe", "can't decode byte 0xff"),
+    ("--schema", b"name,kind,role\nx,continuous," + b"a" * 200_000, "field larger than"),
+    ("--scenario", b"\xff\xfe", "bad JSON: 'utf-8' codec can't decode"),
+    ("--scenario", b"[" * 100_000, "bad JSON: maximum recursion depth exceeded"),
+    ("--scenario", None, "Is a directory"),
+], ids=["schema-not-utf8", "schema-huge-field", "scenario-not-utf8", "scenario-too-deep",
+        "scenario-directory"])
+def test_unreadable_schema_or_scenario_file_is_usage_error(tmp_path, capsys, flag, content,
+                                                           message):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if flag == "--schema":
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1.0,2.0\n,1.0\n")
+        argv = ["impute", "--data", data, "--schema", path, "--method", "fcs"]
+    else:
+        argv = ["simulate", "--scenario", path]
+    assert run(argv + ["--out", tmp_path / "o.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and message in err
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed flag values, schema files, CSV cells and scenario JSON give
+# exit code 2 or 3 and never an exception, SystemExit included
+
+def run_quietly(argv):
+    """(exit code, stderr) of main(argv); SystemExit fails the test."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = run(argv)
+    except SystemExit as exc:
+        pytest.fail(f"main raised SystemExit({exc.code}) for {argv!r}")
+    return code, err.getvalue()
+
+
+def rejected_by(convert):
+    def rejects(text):
+        try:
+            convert(text)
+        except ValueError:  # FormulaError included
+            return True
+        return False
+    return rejects
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+BAD_COUNT = st.one_of(st.integers(max_value=0).map(str), TEXT.filter(rejected_by(int)))
+BAD_FORMULA = TEXT.filter(rejected_by(parse_formula))
+BAD_FLAG_VALUES = {
+    ("impute", "--m"): BAD_COUNT,
+    ("impute", "--iter"): BAD_COUNT,
+    ("impute", "--seed"): st.one_of(st.integers(max_value=-1).map(str),
+                                    TEXT.filter(rejected_by(int))),
+    ("impute", "--method"): TEXT.filter(lambda t: t not in ("fcs", "smcfcs")),
+    ("impute", "--family"): TEXT.filter(lambda t: t not in ("linear", "logistic", "cox")),
+    ("impute", "--smodel"): BAD_FORMULA,
+    ("impute", "--covmodel"): st.one_of(BAD_FORMULA, st.just("surv(w,d) ~ x")),
+    ("analyze", "--level"): st.one_of(
+        st.floats().filter(lambda p: not 0.0 < p < 1.0).map(repr),
+        TEXT.filter(rejected_by(float))),
+    ("analyze", "--smodel"): BAD_FORMULA,
+    ("simulate", "--reps"): BAD_COUNT,
+    ("simulate", "--threads"): BAD_COUNT,
+    ("simulate", "--seed"): st.integers(max_value=-1).map(str),
+}
+VALID_ARGV = {
+    "impute": ["impute", "--data", "d.csv", "--schema", "s.csv", "--method", "smcfcs",
+               "--family", "linear", "--smodel", "y ~ x", "--out", "o.csv"],
+    "analyze": ["analyze", "--data", "d.csv", "--schema", "s.csv", "--family", "linear",
+                "--smodel", "y ~ x", "--out", "p.csv"],
+    "simulate": ["simulate", "--scenario", "quad-normal-mcar", "--out", "s.csv"],
+}
+
+
+@given(case=st.sampled_from(sorted(BAD_FLAG_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), BAD_FLAG_VALUES[key])))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fuzz_malformed_flag_value_is_a_usage_error(case):
+    (subcommand, flag), value = case
+    code, err = run_quietly(VALID_ARGV[subcommand] + [flag, value])
+    assert code == 2
+    assert err.startswith("error: ") and flag in err
+
+
+SCHEMA_CELL = st.one_of(
+    st.sampled_from(["x", "y", "_imp", "_cumhaz", "continuous", "binary",
+                     "partial_covariate", "outcome"]),
+    TEXT,
+)
+
+
+@st.composite
+def schema_with_a_bad_kind(draw):
+    rows = draw(st.lists(st.lists(SCHEMA_CELL, max_size=4), max_size=4))
+    bad_kind = draw(TEXT.filter(lambda t: t not in ("continuous", "binary")))
+    rows.insert(draw(st.integers(0, len(rows))), ["x", bad_kind, "outcome"])
+    text = io.StringIO()
+    csv.writer(text).writerows([["name", "kind", "role"], *rows])
+    return text.getvalue().encode()
+
+
+@given(content=st.one_of(st.binary(max_size=60), schema_with_a_bad_kind()))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzz_malformed_schema_file_is_a_usage_error(content, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("schema")
+    (tmp / "d.csv").write_text("x,y\n1.0,2.0\n,1.0\n2.0,0.5\n")
+    (tmp / "schema.csv").write_bytes(content)
+    code, err = run_quietly(["impute", "--data", tmp / "d.csv", "--schema", tmp / "schema.csv",
+                             "--method", "fcs", "--m", 1, "--out", tmp / "o.csv"])
+    assert code == 2
+    assert err.startswith("error: --schema: ")
+
+
+BAD_CELL = TEXT.filter(lambda t: t not in DEFAULT_MISSING_TOKENS).filter(rejected_by(float))
+DATA_CELL = st.one_of(st.floats().map(repr), st.sampled_from(DEFAULT_MISSING_TOKENS), BAD_CELL)
+
+
+@st.composite
+def csv_with_a_bad_cell(draw, header):
+    rows = draw(st.lists(st.lists(DATA_CELL, min_size=len(header), max_size=len(header)),
+                         min_size=1, max_size=5))
+    row = draw(st.integers(0, len(rows) - 1))
+    rows[row][draw(st.integers(0, len(header) - 1))] = draw(BAD_CELL)
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue().encode()
+
+
+@given(subcommand=st.sampled_from(["impute", "analyze"]), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzz_malformed_data_file_is_a_usage_error(subcommand, data, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("data")
+    (tmp / "schema.csv").write_text(SCHEMA)
+    header = ["x", "y"] if subcommand == "impute" else ["_imp", "x", "y"]
+    content = data.draw(st.one_of(st.binary(max_size=60), csv_with_a_bad_cell(header)))
+    (tmp / "d.csv").write_bytes(content)
+    argv = [subcommand, "--data", tmp / "d.csv", "--schema", tmp / "schema.csv",
+            "--out", tmp / "o.csv"]
+    argv += (["--method", "fcs", "--m", 1] if subcommand == "impute"
+             else ["--family", "linear", "--smodel", "y ~ x"])
+    code, err = run_quietly(argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXT),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+NOT_AN_INTEGER = JSON.filter(lambda v: isinstance(v, bool) or not isinstance(v, int))
+NOT_A_STRING = JSON.filter(lambda v: v is not None and not isinstance(v, str))
+BAD_SCENARIO_FIELDS = {
+    "n": st.one_of(NOT_AN_INTEGER, st.integers(max_value=0)),
+    "reps": st.one_of(NOT_AN_INTEGER, st.integers(max_value=0)),
+    "m": st.one_of(NOT_AN_INTEGER, st.integers(max_value=1)),
+    "seed": st.one_of(NOT_AN_INTEGER, st.integers(max_value=-1)),
+    "p_obs": JSON.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
+                         or not 0.0 < v < 1.0),
+    "dgp": st.one_of(NOT_A_STRING, TEXT.filter(lambda t: t not in ("quadratic", "interaction",
+                                                                   "cox"))),
+    "variant": st.one_of(NOT_A_STRING, TEXT),
+    "mechanism": st.one_of(NOT_A_STRING, TEXT.filter(lambda t: t != "mcar")),
+    "name": NOT_A_STRING,
+    "methods": st.one_of(NOT_A_STRING.filter(lambda v: not isinstance(v, list)),
+                         st.lists(JSON.filter(lambda v: v not in ("cc", "fcs_linear", "smcfcs")),
+                                  min_size=1, max_size=3)),
+}
+
+
+@st.composite
+def scenario_with_a_bad_field(draw):
+    raw = {"dgp": "cox", "variant": None, "mechanism": "mcar", "n": 50, "reps": 1, "m": 2,
+           "methods": ["cc"]}
+    field = draw(st.sampled_from(sorted(BAD_SCENARIO_FIELDS)) | TEXT.filter(
+        lambda t: t not in raw and t not in ("seed", "p_obs", "name")))
+    raw[field] = draw(BAD_SCENARIO_FIELDS.get(field, JSON))
+    return json.dumps(raw).encode()
+
+
+@given(content=st.one_of(st.binary(max_size=60), JSON.map(json.dumps).map(str.encode),
+                         scenario_with_a_bad_field()))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzz_malformed_scenario_json_is_a_usage_error(content, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("scenario")
+    (tmp / "scenario.json").write_bytes(content)
+    code, err = run_quietly(["simulate", "--scenario", tmp / "scenario.json",
+                             "--out", tmp / "s.csv"])
+    assert code == 2
+    assert err.startswith("error: --scenario: ")

@@ -424,6 +424,15 @@ def test_scenario_config_validation():
         ScenarioConfig(dgp="cox", variant="bvnormal", mechanism="mcar", methods=("cc", "smcfcs"))
 
 
+@pytest.mark.parametrize("dgp, variant, methods", [
+    ("quadratic", "normal", ("fcs_linear", "jav", "smcfcs")),
+    ("interaction", "bvnormal", ("fcs_linear", "jav", "smcfcs")),
+    ("cox", None, ("fcs_linear", "smcfcs")),  # the cox study has no jav
+])
+def test_scenario_methods_default_to_those_the_study_allows(dgp, variant, methods):
+    assert ScenarioConfig(dgp=dgp, variant=variant, mechanism="mcar").methods == methods
+
+
 def test_study_tables_script_rejects_an_unknown_scenario_as_usage_error():
     root = Path(simlab.__file__).resolve().parents[2]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
