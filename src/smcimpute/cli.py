@@ -86,6 +86,10 @@ _LEVEL = _flag_type(float, lambda p: 0.0 < p < 1.0, "must be strictly between 0 
 _FORMULA = _flag_type(parse_formula)
 _COVMODEL = _flag_type(parse_formula, lambda f: not f.is_survival,
                        "covariate model target must be a single column")
+# checked before any data is read, so a bad path costs no imputation
+_OUT = _flag_type(str, lambda path: not os.path.isdir(path or ".")
+                  and os.path.isdir(os.path.dirname(path) or "."),
+                  "must name a file in an existing directory")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +98,7 @@ _COVMODEL = _flag_type(parse_formula, lambda f: not f.is_survival,
 def read_schema(path):
     """Schema CSV with header name,kind,role."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header, rows = reader.fieldnames, list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -275,7 +279,7 @@ def _load_scenario(args):
         cfg = catalog[args.scenario]
     elif os.path.exists(args.scenario):
         try:
-            with open(args.scenario) as fh:
+            with open(args.scenario, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             _fail("--scenario", str(exc))
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_COUNT, default=10)
     p.add_argument("--iter", type=_COUNT, default=None)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OUT)
     p.add_argument("--family", choices=tuple(FAMILY_FLAGS))
     p.add_argument("--smodel", type=_FORMULA)
     p.add_argument("--covmodel", type=_COVMODEL, action="append", default=[])
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=tuple(FAMILY_FLAGS))
     p.add_argument("--smodel", required=True, type=_FORMULA)
     p.add_argument("--level", type=_LEVEL, default=0.95)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OUT)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run a simulation scenario")
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_COUNT, default=None)
     p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--threads", type=_COUNT, default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OUT)
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -173,7 +173,7 @@ def read_table(path, check_header, missing_tokens: Iterable[str] = ()):
     width, a cell that is not a number, or a file the csv module rejects.
     """
     as_nan = dict.fromkeys(missing_tokens, "nan")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is skipped
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

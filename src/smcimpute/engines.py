@@ -121,16 +121,6 @@ class Diagnostics:
         self.accepted[target] = self.accepted.get(target, 0) + int(accepted)
         self.fallbacks[target] = self.fallbacks.get(target, 0) + int(fallbacks)
 
-    def snapshot(self):
-        """Checkpoint of the trace length and counters, for `rollback`."""
-        return len(self.traces), dict(self.proposals), dict(self.accepted), dict(self.fallbacks)
-
-    def rollback(self, checkpoint) -> None:
-        """Discard everything recorded since `checkpoint` (retries excepted)."""
-        n_traces, proposals, accepted, fallbacks = checkpoint
-        del self.traces[n_traces:]
-        self.proposals, self.accepted, self.fallbacks = proposals, accepted, fallbacks
-
     def mean_acceptance(self, target) -> float:
         prop = self.proposals.get(target, 0)
         return self.accepted.get(target, 0) / prop if prop else float("nan")
@@ -348,11 +338,6 @@ def _init_columns(ctx: _Context, rng) -> dict[str, np.ndarray]:
     return cur
 
 
-def _design(formula: ModelFormula, cols, n) -> np.ndarray:
-    """The right-hand side of an outcome or covariate formula on `cols`."""
-    return design_from_arrays(formula.terms, formula.intercept, cols, n)
-
-
 # ---------------------------------------------------------------------------
 # compatible sampler
 
@@ -368,12 +353,12 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     base = {v: cur[v][rows] for v in needed if v != spec.target}
     y_parts = model.y_parts(formula, psi, cur, rows)
     size = rows.size
-    mu = _design(spec.formula, base, size) @ phi.beta
+    mu = design_from_arrays(spec.formula, base, size) @ phi.beta
     log_w = []
     for v in (0.0, 1.0):
         cols = dict(base)
         cols[spec.target] = np.full(size, v)
-        g = _design(formula, cols, size) @ psi.beta
+        g = design_from_arrays(formula, cols, size) @ psi.beta
         log_ratio = model.log_ratio(psi, y_parts, g)
         log_mass = spec.model.log_ratio(phi, (cols[spec.target],), mu)
         log_w.append(log_ratio + log_mass)
@@ -408,10 +393,10 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
         npend = pending.size
         wide = npend * batch
         sub = {v: np.repeat(arr[pending], batch) for v, arr in base.items()}
-        cand = spec.model.sample(phi, _design(spec.formula, sub, wide) @ phi.beta, rng)
+        cand = spec.model.sample(phi, design_from_arrays(spec.formula, sub, wide) @ phi.beta, rng)
         sub[spec.target] = cand
         y_sub = tuple(np.repeat(part[pending], batch) for part in y_parts)
-        g = _design(formula, sub, wide) @ psi.beta
+        g = design_from_arrays(formula, sub, wide) @ psi.beta
         log_ratio = model.log_ratio(psi, y_sub, g)
         proposals += wide
         attempts += batch
@@ -446,7 +431,7 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
 def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     for name in ctx.sampled:
         spec = ctx.specs[name]
-        X = _design(spec.formula, cur, ctx.d.n)
+        X = design_from_arrays(spec.formula, cur, ctx.d.n)
         obs = ctx.masks[name]
         fit = spec.model.fit(X[obs], cur[name][obs], warm.get(name))
         phi = spec.model.posterior(fit, rng)
@@ -461,7 +446,7 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     family, formula = ctx.config.substantive
     model, response = ctx.model, ctx.response
     for name in ctx.sampled:
-        X = _design(formula, cur, ctx.d.n)
+        X = design_from_arrays(formula, cur, ctx.d.n)
         # the covariate models' warm starts are keyed by column name, so the
         # outcome model's takes a key no column can have
         fit = model.fit(X, response, warm.get(None))
@@ -471,7 +456,7 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
         if psi.sigma2 is not None:
             diag.record_trace(imp, sweep, f"psi[{name}]", ["sigma2"], [psi.sigma2])
         spec = ctx.specs[name]
-        X = _design(spec.formula, cur, ctx.d.n)
+        X = design_from_arrays(spec.formula, cur, ctx.d.n)
         fit = spec.model.fit(X, cur[name], warm.get(name))
         phi = spec.model.posterior(fit, rng)
         warm[name] = fit.beta
@@ -503,22 +488,25 @@ def _run_engine(d: Dataset, config: EngineConfig, rng, sweep_fn) -> ImputationRe
         chain_rng = stream(base, "chain", imp)
         last_error = None
         for _attempt in range(1 + MAX_CHAIN_RETRIES):
-            checkpoint = diag.snapshot()
+            # each attempt records on its own; diagnostics describe delivered
+            # imputations only, so a failed attempt's record is dropped
+            chain = Diagnostics()
             try:
                 cur = _init_columns(ctx, chain_rng)
                 warm: dict = {}
                 for sweep in range(1, config.sweeps + 1):
-                    sweep_fn(ctx, cur, chain_rng, diag, imp, sweep, warm)
+                    sweep_fn(ctx, cur, chain_rng, chain, imp, sweep, warm)
                 break
             except FitError as exc:
-                # diagnostics describe delivered imputations only
-                diag.rollback(checkpoint)
                 last_error = exc
                 diag.retries += 1
         else:
             raise EngineFailure(
                 f"imputation {imp} failed after {MAX_CHAIN_RETRIES} retries: {last_error}"
             )
+        diag.traces += chain.traces
+        for target, proposals in chain.proposals.items():
+            diag.record_sampling(target, proposals, chain.accepted[target], chain.fallbacks[target])
         datasets.append(ctx.d.with_values({name: cur[name] for name in cur}))
     return ImputationResult(datasets=tuple(datasets), diagnostics=diag)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -245,17 +245,12 @@ def term_column_name(t: Term) -> str:
     )
 
 
-def design_from_arrays(
-    terms: Sequence[Term],
-    intercept: bool,
-    cols: Mapping[str, np.ndarray],
-    n: int,
-) -> np.ndarray:
-    """Design matrix from named value arrays (intercept column first)."""
+def design_from_arrays(f: ModelFormula, cols: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """The right-hand side of `f` on named value arrays (intercept column first)."""
     pieces = []
-    if intercept:
+    if f.intercept:
         pieces.append(np.ones(n))
-    for t in terms:
+    for t in f.terms:
         pieces.append(np.broadcast_to(t.evaluate(cols), (n,)))
     if not pieces:
         return np.empty((n, 0))
@@ -275,7 +270,7 @@ def design_matrix(f: ModelFormula, d) -> np.ndarray:
             raise FormulaError(f"formula references unknown column {v!r}")
     cols = {v: d.column(v).values for v in f.variables}
     _check_complete(cols, f.variables, "design_matrix")
-    return design_from_arrays(f.terms, f.intercept, cols, d.n)
+    return design_from_arrays(f, cols, d.n)
 
 
 def response_arrays(f: ModelFormula, d) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,8 @@ values for every covariate distribution, and the intercepts at the builtin
 observation probability P_OBS, are frozen below as the exact floats the
 Monte-Carlo returns (a test recomputes and compares them).  Only a scenario
 with another p_obs, which a JSON scenario file can give, runs the
-intercept Monte-Carlo, once per process (about 0.3 s and 50 MB).
+intercept Monte-Carlo (about 0.2 s and 50 MB), once per `run_scenario`
+call; the replications, in worker processes too, receive its result.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -164,7 +165,7 @@ def _complete_case(family, formula, d: Dataset, level=0.95):
     for col in d.partial_covariates():
         keep &= col.observed
     cols = {v: d.column(v).values[keep] for v in formula.variables}
-    X = design_from_arrays(formula.terms, formula.intercept, cols, int(keep.sum()))
+    X = design_from_arrays(formula, cols, int(keep.sum()))
     model = FAMILIES[family]
     fit = model.fit(X, model.prepare(*(r[keep] for r in response_arrays(formula, d))))
     se = np.sqrt(fit.coef_variances())
@@ -324,7 +325,6 @@ def residual_variance(dgp: str, variant: str) -> float:
     return _residual_variance_mc(dgp, variant)  # no such (dgp, variant): raises ValueError
 
 
-@lru_cache(maxsize=None)
 def _residual_variance_mc(dgp: str, variant: str) -> float:
     """Var(g(X)) over 10^6 draws from the calibration stream."""
     study = STUDIES.get(dgp)
@@ -378,7 +378,6 @@ def mar_intercept(dgp: str, variant: str, target_p: float) -> tuple[float, float
     return _mar_intercept_mc(dgp, variant, target_p)
 
 
-@lru_cache(maxsize=None)
 def _mar_intercept_mc(dgp: str, variant: str, target_p: float) -> tuple[float, float]:
     """mar_intercept from a 10^6-draw sample of the calibration stream."""
     study = STUDIES.get(dgp)
@@ -510,16 +509,14 @@ def scenario_truth(cfg: ScenarioConfig):
     return study.family, formula, np.array(study.beta), formula.labels()
 
 
-def _mask(cfg: ScenarioConfig, d: Dataset, rng) -> Dataset:
-    if cfg.mechanism == "mcar":
-        return apply_mcar(d, cfg.p_obs, rng)
-    alpha0, alpha1 = mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs)
-    return apply_mar(d, alpha0, alpha1, rng)
-
-
-def _run_replication(cfg: ScenarioConfig, rep: int):
+def _run_replication(cfg: ScenarioConfig, mar_alpha, rep: int):
+    """One replication; `mar_alpha` is the MAR (alpha0, alpha1), None under MCAR."""
     d_full = _generate(cfg.dgp, cfg.variant, cfg.n, stream(cfg.seed, "rep", rep, "data"))
-    d = _mask(cfg, d_full, stream(cfg.seed, "rep", rep, "mask"))
+    mask_rng = stream(cfg.seed, "rep", rep, "mask")
+    if mar_alpha is None:
+        d = apply_mcar(d_full, cfg.p_obs, mask_rng)
+    else:
+        d = apply_mar(d_full, *mar_alpha, mask_rng)
     family, formula, _, _ = scenario_truth(cfg)
     out = {}
     for method in cfg.methods:
@@ -529,11 +526,6 @@ def _run_replication(cfg: ScenarioConfig, rep: int):
         except (FitError, EngineFailure, PoolError, DataError):
             out[method] = None
     return out
-
-
-def _replication_worker(args):
-    cfg, rep = args
-    return _run_replication(cfg, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +570,20 @@ class ScenarioSummary:
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:
     """Run every replication, excluding a replication entirely if any method fails.
 
-    With threads > 1 replications run in worker processes; results are
-    identical to a sequential run because random streams are indexed by
-    replication, not by worker.
+    The MAR observation model is calibrated once, here, and passed to every
+    replication.  With threads > 1 replications run in worker processes;
+    results are identical to a sequential run because random streams are
+    indexed by replication, not by worker.
     """
-    if cfg.mechanism == "mar":
-        # a p_obs other than P_OBS runs the intercept Monte-Carlo; under the
-        # fork start method, workers inherit its cached result
-        mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs)
-    jobs = [(cfg, rep) for rep in range(cfg.reps)]
+    mar_alpha = mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs) if cfg.mechanism == "mar" else None
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool_:
-            results = list(pool_.map(_replication_worker, jobs, chunksize=8))
+            results = list(pool_.map(_run_replication, repeat(cfg), repeat(mar_alpha),
+                                     range(cfg.reps), chunksize=8))
     else:
-        results = [_run_replication(cfg, rep) for rep in range(cfg.reps)]
+        results = [_run_replication(cfg, mar_alpha, rep) for rep in range(cfg.reps)]
 
     used = [r for r in results if all(r[m] is not None for m in cfg.methods)]
     n_used = len(used)

@@ -365,6 +365,35 @@ def test_long_csv_blocks_come_in_ascending_imp_order(tmp_path):
     assert list(second.column("x").values) == [20.0, 21.0]
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_schema_file_with_a_utf8_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(SCHEMA)
+    marked.write_bytes(BOM + SCHEMA.encode())
+    assert read_schema(marked) == read_schema(plain)
+
+
+def test_scenario_json_with_a_utf8_byte_order_mark(tmp_path):
+    scenario = tmp_path / "tiny.json"
+    scenario.write_bytes(BOM + json.dumps({
+        "dgp": "quadratic", "variant": "normal", "mechanism": "mcar",
+        "n": 50, "reps": 1, "m": 2, "methods": ["cc"]}).encode())
+    assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "s.csv"]) == 0
+    assert (tmp_path / "s.csv").read_text().startswith("scenario,method")
+
+
+def test_long_csv_with_a_utf8_byte_order_mark(tmp_path):
+    data = tmp_path / "long.csv"
+    data.write_bytes(BOM + b"_imp,x,y\n1,10.0,2.0\n2,20.0,1.0\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    first, second = _read_long_csv(data, read_schema(schema))
+    assert first.column("x").values.tolist() == [10.0]
+    assert second.column("x").values.tolist() == [20.0]
+
+
 EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
 
 
@@ -439,6 +468,21 @@ def test_usage_error_returns_2_with_one_error_line_naming_the_flag(capsys, argv,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and flag in lines[0]
+
+
+@pytest.mark.parametrize("out", ["missing_dir/o.csv", "adir", "adir/", ""])
+@pytest.mark.parametrize("argv", [
+    ["impute", "--data", "absent.csv", "--schema", "absent.csv", "--method", "fcs"],
+    ["analyze", "--data", "absent.csv", "--schema", "absent.csv", "--family", "linear",
+     "--smodel", "y ~ x"],
+    ["simulate", "--scenario", "absent.json"],
+])
+def test_out_is_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: argument --out: must name a file in an existing directory")
 
 
 @pytest.mark.parametrize("family, smodel", [

@@ -41,7 +41,7 @@ def logistic_spec():
 
 def design(spec, cols, n):
     """The covariate model's design on `cols`, as the engines build it."""
-    return design_from_arrays(spec.formula.terms, spec.formula.intercept, cols, n)
+    return design_from_arrays(spec.formula, cols, n)
 
 
 def spec_design(spec, d):

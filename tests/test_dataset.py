@@ -44,6 +44,15 @@ def test_read_csv_parses_missing_tokens(tmp_path):
     assert b.values[1] == 1.0 and b.observed[1]
 
 
+def test_read_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b,y\n1.5,,0\n2.0,1,3\n")
+    d = read_csv(path, simple_schema(), missing_tokens={""})
+    assert d.names == ("a", "b", "y")
+    assert d.column("a").values.tolist() == [1.5, 2.0]
+
+
 def test_read_csv_missing_in_outcome_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1.0,0,NA\n")

@@ -196,13 +196,28 @@ def test_mar_calibration_hits_marginal_rate(monkeypatch, p_obs):
     assert abs(masked.column("x").observed.mean() - p_obs) < 0.005
 
 
+def test_run_scenario_calibrates_the_mar_intercept_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simlab, "_mar_intercept_mc",
+                        lambda *args: calls.append(args) or (1.0, -0.2))
+    cfg = ScenarioConfig(dgp="quadratic", variant="normal", mechanism="mar", p_obs=0.5,
+                         n=60, reps=3, m=2, methods=("cc",), seed=5)
+    assert run_scenario(cfg, threads=1).n_used == 3
+    assert calls == [("quadratic", "normal", 0.5)]
+
+
+def test_calibration_lives_in_the_run_not_in_module_state():
+    cached = [name for name in dir(simlab) if hasattr(getattr(simlab, name), "cache_info")]
+    assert cached == []
+
+
 def test_frozen_calibration_constants_equal_the_monte_carlo():
     assert len(simlab._RESIDUAL_VARIANCE) == len(simlab._MAR_INTERCEPT) == 8
     for (dgp, variant), frozen in simlab._RESIDUAL_VARIANCE.items():
-        fresh = simlab._residual_variance_mc.__wrapped__(dgp, variant)
+        fresh = simlab._residual_variance_mc(dgp, variant)
         assert math.isclose(frozen, fresh, rel_tol=1e-12), (dgp, variant)
     for (dgp, variant), frozen in simlab._MAR_INTERCEPT.items():
-        fresh = simlab._mar_intercept_mc.__wrapped__(dgp, variant, simlab.P_OBS)
+        fresh = simlab._mar_intercept_mc(dgp, variant, simlab.P_OBS)
         for a, b in zip(frozen, fresh):
             assert math.isclose(a, b, rel_tol=1e-12), (dgp, variant)
 
@@ -284,7 +299,7 @@ def _scipy_stats_complete_case(family, formula, d, level=0.95):
     for col in d.partial_covariates():
         keep &= col.observed
     cols = {v: d.column(v).values[keep] for v in formula.variables}
-    X = design_from_arrays(formula.terms, formula.intercept, cols, int(keep.sum()))
+    X = design_from_arrays(formula, cols, int(keep.sum()))
     alpha = 0.5 * (1.0 + level)
     if family == "cox":
         time_name, event_name = formula.response

@@ -27,7 +27,7 @@ def ratio(family_params, x, **response):
     model, formula = FAMILIES[family], FORMULAS[family]
     cols = {name: np.array([value], dtype=float) for name, value in response.items()}
     parts = model.y_parts(formula, params, cols, np.arange(1))
-    g = design_from_arrays(formula.terms, formula.intercept, {"x": np.array([x])}, 1) @ params.beta
+    g = design_from_arrays(formula, {"x": np.array([x])}, 1) @ params.beta
     return float(np.exp(model.log_ratio(params, parts, g))[0])
 
 
