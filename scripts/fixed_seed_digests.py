@@ -3,13 +3,15 @@
 
     python scripts/fixed_seed_digests.py OUTDIR
 
-The set is 38 files: the CSV inputs of three datasets (linear quad, n=400;
-logistic with two partial covariates, n=300; Cox, n=300), `impute --m 5
---iter 5 --seed 3` of each with fcs and with smcfcs plus their `.diag.csv`
-files, the same fcs impute of the Cox data with explicit `--covmodel`s, one
-of which conditions on `_cumhaz`, plus its `.diag.csv`, `analyze` of each
-smcfcs output, and `simulate --reps 2 --seed 7 --threads 1` of every builtin
-scenario.  Each line of output is
+The set is 44 files: the CSV inputs of four datasets (linear quad, n=400;
+logistic with two partial covariates, n=300; Cox, n=300; a binary x whose
+logit is 0.3 (bp - 130) with bp ~ N(130, 3) complete, n=300), `impute --m 5
+--iter 5 --seed 3` of each with smcfcs and, except for the bp data, with fcs,
+plus their `.diag.csv` files, the same fcs impute of the Cox and bp data with
+explicit `--covmodel`s (one Cox model conditions on `_cumhaz`) plus its
+`.diag.csv`, `analyze` of each smcfcs output, and `simulate --reps 2 --seed 7
+--threads 1` of every builtin scenario.  The bp data keeps a covariate far
+from zero, where a logistic intercept is about -39.  Each line of output is
 `name sha256[:12]`.  Two runs, or two versions of the package, produce the
 same bytes exactly when they print the same lines; run an older checkout
 through this script by putting its `src` on PYTHONPATH.
@@ -31,9 +33,17 @@ SMODELS = {  # dataset: (--family, --smodel)
     "quad": ("linear", "y ~ x + x^2"),
     "logit": ("logistic", "y ~ x1 + x2"),
     "cox": ("cox", "surv(w,d) ~ x1 + x2"),
+    "bp": ("linear", "y ~ x + bp"),
 }
-COVMODELS = {  # dataset: the --covmodel flags of its extra fcs impute
+COVMODELS = {  # dataset: the --covmodel flags of its fcs-covmodel impute
     "cox": ("x1 ~ x2 + d", "x2 ~ x1 + d + _cumhaz"),
+    "bp": ("x ~ bp",),
+}
+IMPUTES = {  # dataset: the labels of its impute runs, in output order
+    "quad": ("fcs", "smcfcs"),
+    "logit": ("fcs", "smcfcs"),
+    "cox": ("fcs", "smcfcs", "fcs-covmodel"),
+    "bp": ("fcs-covmodel", "smcfcs"),
 }
 
 
@@ -50,6 +60,19 @@ def gen_logistic(n, rng):
     ))
 
 
+def gen_bp(n, rng):
+    """bp ~ N(130, 3), binary x ~ Bernoulli(expit(0.3 (bp - 130))), y ~ N(x + 0.1 (bp - 130), 1)."""
+    bp = rng.normal(130.0, 3.0, n)
+    x = (rng.random(n) < expit(0.3 * (bp - 130.0))).astype(float)
+    y = rng.normal(x + 0.1 * (bp - 130.0), 1.0)
+    full = np.ones(n, dtype=bool)
+    return Dataset((
+        Column("x", VariableKind.BINARY, VariableRole.PARTIAL_COVARIATE, x, full.copy()),
+        Column("bp", VariableKind.CONTINUOUS, VariableRole.COMPLETE_COVARIATE, bp, full.copy()),
+        Column("y", VariableKind.CONTINUOUS, VariableRole.OUTCOME, y, full),
+    ))
+
+
 def run_cli(argv):
     code = cli_main(argv)
     if code != 0:
@@ -62,6 +85,7 @@ def write_set(outdir: Path) -> list[Path]:
         "quad": gen_quadratic("normal", 400, stream(7, "quad")),
         "logit": gen_logistic(300, stream(7, "logit")),
         "cox": gen_cox(300, stream(7, "cox")),
+        "bp": gen_bp(300, stream(7, "bp")),
     }
     files = []
     for name, d in datasets.items():
@@ -72,11 +96,14 @@ def write_set(outdir: Path) -> list[Path]:
             f"{c.name},{c.kind.value},{c.role.value}\n" for c in d.columns))
         files.append(data)
         family, smodel = SMODELS[name]
-        runs = [("fcs", "fcs", []), ("smcfcs", "smcfcs", ["--family", family, "--smodel", smodel])]
-        if name in COVMODELS:
-            runs.append(("fcs-covmodel", "fcs",
-                         [arg for text in COVMODELS[name] for arg in ("--covmodel", text)]))
-        for label, method, extra in runs:
+        runs = {
+            "fcs": ("fcs", []),
+            "smcfcs": ("smcfcs", ["--family", family, "--smodel", smodel]),
+            "fcs-covmodel": ("fcs", [arg for text in COVMODELS.get(name, ())
+                                     for arg in ("--covmodel", text)]),
+        }
+        for label in IMPUTES[name]:
+            method, extra = runs[label]
             out = outdir / f"{name}.{label}.csv"
             run_cli(["impute", "--data", str(data), "--schema", str(schema),
                      "--method", method, "--m", "5", "--iter", "5", "--seed", "3",

@@ -347,6 +347,7 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     Exact enumeration of the two support points of the compatible imputation
     density, computed in log space: weight(v) is the outcome model's
     acceptance ratio at X_j = v times the covariate model's mass at v.
+    Raises FitError when the density vanishes (or is NaN) at both values.
     """
     model = FAMILIES[family]
     needed = set(formula.variables) | set(spec.formula.variables)
@@ -362,6 +363,8 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
         log_ratio = model.log_ratio(psi, y_parts, g)
         log_mass = spec.model.log_ratio(phi, (cols[spec.target],), mu)
         log_w.append(log_ratio + log_mass)
+    if not np.all(np.isfinite(np.maximum(log_w[0], log_w[1]))):
+        raise FitError(f"compatible density of {spec.target} vanishes at 0 and at 1")
     return expit(log_w[1] - log_w[0])
 
 
@@ -369,7 +372,8 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
     """Rejection-sample the compatible density, proposal = covariate model.
 
     Returns (values, proposals, fallbacks).  A cell that exhausts the attempt
-    cap takes the candidate with the highest acceptance ratio seen so far.
+    cap takes the candidate with the highest acceptance ratio seen so far;
+    if every one of its candidates had a ratio of 0 (or NaN), FitError.
 
     Proposals are drawn in growing per-cell batches; within a batch each cell
     keeps its first accepted candidate, which is equivalent to proposing one
@@ -420,6 +424,8 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
         if attempts >= max_rejections:
             break
         batch = min(batch * 4, 4096)
+    if np.any(best_log_ratio[pending] == -np.inf):
+        raise FitError(f"compatible density of {spec.target} vanishes at every proposal")
     fallbacks = pending.size
     values[pending] = best_value[pending]
     return values, proposals, fallbacks

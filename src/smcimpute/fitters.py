@@ -5,8 +5,9 @@ evaluates the log-likelihood, score and information once per candidate step,
 halves a step whenever it would decrease the log-likelihood by more than a
 relative 1e-12, and stops when the score norm drops below 1e-8.  Divergence
 (separation in logistic regression, monotone partial likelihood in Cox
-regression) is declared when any coefficient exceeds 30 on the scale of its
-standardized predictor.  Every fit failure, divergence and 50 iterations
+regression) is declared when the standard deviation of the linear predictor
+X beta across the rows exceeds 30, which does not depend on where a covariate
+sits or on the intercept.  Every fit failure, divergence and 50 iterations
 without convergence included, raises FitError with the fit's own message.
 
 Every symmetric positive-definite solve (normal equations, Newton step,
@@ -56,15 +57,6 @@ class FitError(RuntimeError):
     """Fit cannot be completed (rank deficiency, divergence, bad inputs)."""
 
 
-def _coef_scales(sd: np.ndarray) -> np.ndarray:
-    """Per-column predictor SDs `sd`, with 1.0 substituted for constant columns."""
-    return np.where(sd > 0, sd, 1.0)
-
-
-def _diverged(beta: np.ndarray, scales: np.ndarray) -> bool:
-    return bool(np.any(np.abs(beta) * scales > DIVERGENCE_THRESHOLD))
-
-
 def _cholesky(a, message: str) -> np.ndarray:
     """Lower Cholesky factor L (a = L L') of a symmetric positive-definite matrix.
 
@@ -99,19 +91,18 @@ def _inverse_information(info, message: str) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _newton(loglik, scales, beta0, *, singular: str, diverged: str, stalled: str):
+def _newton(loglik, X, beta0, *, singular: str, diverged: str, stalled: str):
     """Newton-Raphson maximization of `loglik(beta) -> (ll, score, info)`.
 
-    Starts at beta0 (zeros when None); `scales`, the _coef_scales of the
-    design's column SDs, scale the divergence check.  Each candidate step
-    costs one loglik call, and the accepted candidate's score and
-    information drive the next step.  Returns (beta, info, iterations) once
-    the score norm is below SCORE_TOL.  Raises FitError(singular) on an
-    information matrix that is not positive definite, FitError(diverged)
-    when a coefficient diverges, and FitError(stalled) after MAX_ITER
-    iterations.
+    Starts at beta0 (zeros when None).  Each candidate step costs one loglik
+    call, and the accepted candidate's score and information drive the next
+    step.  Returns (beta, info, iterations) once the score norm is below
+    SCORE_TOL.  Raises FitError(singular) on an information matrix that is
+    not positive definite, FitError(diverged) when the spread of the linear
+    predictor, np.std(X @ beta), exceeds DIVERGENCE_THRESHOLD, and
+    FitError(stalled) after MAX_ITER iterations.
     """
-    beta = np.zeros(scales.shape[0]) if beta0 is None else np.asarray(beta0, dtype=float)
+    beta = np.zeros(X.shape[1]) if beta0 is None else np.asarray(beta0, dtype=float)
     ll, score, info = loglik(beta)
     for iterations in range(1, MAX_ITER + 1):
         step = _spd_solve(info, score, singular)
@@ -123,7 +114,7 @@ def _newton(loglik, scales, beta0, *, singular: str, diverged: str, stalled: str
                 break
             scale *= 0.5
         beta, ll, score, info = candidate, ll_new, score_new, info_new
-        if _diverged(beta, scales):
+        if np.std(X @ beta) > DIVERGENCE_THRESHOLD:
             raise FitError(diverged)
         if np.linalg.norm(score) < SCORE_TOL:
             return beta, info, iterations
@@ -226,7 +217,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
         raise FitError("logistic response must be 0/1")
     failed = "logistic fit did not converge (separation?)"
     beta, info, iterations = _newton(
-        lambda b: logistic_loglik(X, y, b), _coef_scales(X.std(axis=0)), beta0,
+        lambda b: logistic_loglik(X, y, b), X, beta0,
         singular="observed information is singular", diverged=failed, stalled=failed)
     # the score also vanishes under separation, where every response is
     # predicted perfectly and the information matrix degenerates
@@ -371,15 +362,14 @@ def fit_cox(
         raise FitError("survival times must be strictly positive")
     if not np.any(event == 1.0):
         raise FitError("no events observed")
-    sd = X.std(axis=0)
-    if np.any(sd == 0):
+    if np.any(X.std(axis=0) == 0):
         raise FitError("constant covariate column in Cox design")
     if layout is None:
         layout = cox_layout(time, event)
     beta, info, _ = _newton(
-        lambda b: cox_loglik(X, time, event, b, layout=layout), _coef_scales(sd), beta0,
+        lambda b: cox_loglik(X, time, event, b, layout=layout), X, beta0,
         singular="Cox information matrix is singular",
-        diverged="monotone partial likelihood (diverging coefficients)",
+        diverged="monotone partial likelihood (diverging linear predictor)",
         stalled="Cox fit did not converge")
     cov = _inverse_information(info, "Cox information matrix is singular at the MLE")
     return CoxFit(beta=beta, covariance=cov, layout=layout)

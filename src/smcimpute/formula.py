@@ -247,14 +247,12 @@ def term_column_name(t: Term) -> str:
 
 def design_from_arrays(f: ModelFormula, cols: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """The right-hand side of `f` on named value arrays (intercept column first)."""
-    pieces = []
+    X = np.empty((n, f.intercept + len(f.terms)))
     if f.intercept:
-        pieces.append(np.ones(n))
-    for t in f.terms:
-        pieces.append(np.broadcast_to(t.evaluate(cols), (n,)))
-    if not pieces:
-        return np.empty((n, 0))
-    return np.column_stack(pieces)
+        X[:, 0] = 1.0
+    for j, t in enumerate(f.terms, start=int(f.intercept)):
+        X[:, j] = t.evaluate(cols)
+    return X
 
 
 def _check_complete(cols, names, n_where):

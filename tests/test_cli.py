@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcimpute.cli import _read_long_csv, _write_long_csv, main, read_schema
-from smcimpute.dataset import DEFAULT_MISSING_TOKENS, Column, Dataset, write_csv
+from smcimpute.dataset import (
+    DEFAULT_MISSING_TOKENS,
+    Column,
+    Dataset,
+    VariableKind,
+    VariableRole,
+    write_csv,
+)
 from smcimpute.formula import parse_formula
 from smcimpute.rng import stream
 from smcimpute.simlab import apply_mcar, gen_quadratic
@@ -91,6 +98,33 @@ def test_impute_engine_abort_exit_code(tmp_path):
     code = run(["impute", "--data", data, "--schema", schema, "--method", "fcs",
                 "--m", 2, "--seed", 1, "--out", tmp_path / "o.csv"])
     assert code == 3
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("smcfcs", ["--family", "linear", "--smodel", "y ~ x + bp"]),
+    ("fcs", ["--covmodel", "x ~ bp"]),
+])
+def test_impute_a_binary_covariate_whose_predictor_sits_far_from_zero(tmp_path, method, extra):
+    # logit P(x = 1) = 0.3 (bp - 130) with bp ~ N(130, 3): the covariate
+    # model's intercept is about -39
+    rng = stream(5, "bp")
+    n = 500
+    bp = rng.normal(130.0, 3.0, n)
+    x = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.3 * (bp - 130.0)))).astype(float)
+    y = rng.normal(x + 0.1 * (bp - 130.0), 1.0)
+    full = np.ones(n, dtype=bool)
+    d = apply_mcar(Dataset((
+        Column("x", VariableKind.BINARY, VariableRole.PARTIAL_COVARIATE, x, full),
+        Column("bp", VariableKind.CONTINUOUS, VariableRole.COMPLETE_COVARIATE, bp, full),
+        Column("y", VariableKind.CONTINUOUS, VariableRole.OUTCOME, y, full),
+    )), 0.7, stream(5, "bp", "mask"))
+    data, schema, out = tmp_path / "bp.csv", tmp_path / "schema.csv", tmp_path / "imp.csv"
+    write_csv(d, data)
+    schema.write_text("name,kind,role\nx,binary,partial_covariate\n"
+                      "bp,continuous,complete_covariate\ny,continuous,outcome\n")
+    assert run(["impute", "--data", data, "--schema", schema, "--method", method,
+                "--m", 5, "--seed", 1, "--out", out, *extra]) == 0
+    assert {r["x"] for r in read_rows(out)} == {"0.0", "1.0"}
 
 
 def test_analyze_pipeline_recovers_quadratic_coefficient(quad_files):

@@ -23,6 +23,7 @@ from smcimpute.engines import (
     smc_binary_probs,
     smc_reject_sample,
 )
+from smcimpute.fitters import FitError
 from smcimpute.formula import Term, parse_formula
 from smcimpute.substantive import SubstantiveParams
 
@@ -287,6 +288,34 @@ def test_rejection_cap_falls_back_to_best_candidate():
     assert np.all(values > 1.0)
 
 
+def _vanishing_outcome_setup(target_kind, n=6):
+    # a normal outcome with variance 1e-320 gives every value of the target
+    # a log acceptance ratio of -inf: the compatible density is zero
+    formula = parse_formula("y ~ x")
+    if target_kind == "binary":
+        spec = CovariateModelSpec("x", "logistic", predictors=())
+        phi = CovariateParams(beta=np.array([0.0]))
+    else:
+        spec = CovariateModelSpec("x", "normal_linear", predictors=())
+        phi = CovariateParams(beta=np.array([0.0]), sigma2=1.0)
+    psi = SubstantiveParams(family="normal_linear", beta=np.array([0.0, 1.0]), sigma2=1e-320)
+    cur = {"x": np.zeros(n), "y": np.full(n, 50.0)}
+    return formula, spec, phi, cur, psi
+
+
+def test_binary_probs_raise_when_the_density_vanishes_at_both_values():
+    formula, spec, phi, cur, psi = _vanishing_outcome_setup("binary")
+    with pytest.raises(FitError, match="vanishes at 0 and at 1"):
+        smc_binary_probs("normal_linear", formula, psi, spec, phi, cur, np.arange(6))
+
+
+def test_rejection_raises_when_the_density_vanishes_at_every_proposal():
+    formula, spec, phi, cur, psi = _vanishing_outcome_setup("continuous")
+    with pytest.raises(FitError, match="vanishes at every proposal"):
+        smc_reject_sample("normal_linear", formula, psi, spec, phi, cur, np.arange(6),
+                          np.random.default_rng(5), 64)
+
+
 # ---------------------------------------------------------------------------
 # configuration validation and failure policy
 
@@ -436,7 +465,6 @@ def test_fcs_survival_materializes_cumhaz():
 
 
 def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
-    from smcimpute.fitters import FitError
     from smcimpute.substantive import NormalLinear
 
     real = NormalLinear.posterior

@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from smcimpute import fitters
@@ -145,6 +147,63 @@ def test_logistic_matches_grid_search_oracle():
 def test_logistic_rejects_nonbinary_response():
     with pytest.raises(FitError):
         fit_logistic(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("mean, slope", [(40.0, 1.0), (130.0, 0.3)])
+def test_logistic_fits_a_covariate_far_from_zero(mean, slope):
+    # the intercept, -slope * mean, lies beyond the divergence threshold of
+    # 30, but the linear predictor's spread is only slope * 3
+    rng = rng0(42)
+    x = rng.normal(mean, 3.0, 5000)
+    y = (rng.random(5000) < expit(slope * (x - mean))).astype(float)
+    fit = fit_logistic(np.column_stack([np.ones(5000), x]), y)
+    se = np.sqrt(fit.coef_variances())
+    assert np.all(np.abs(fit.beta - [-slope * mean, slope]) < 4.0 * se)
+
+
+def _location_data(n=400):
+    rng = rng0(41)
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    y = (rng.random(n) < expit(0.5 + x - 0.5 * z)).astype(float)
+    t = rng.exponential(1.0, n) / np.exp(0.5 * x - 0.5 * z)
+    censor = rng.exponential(2.0, n)
+    return x, z, y, np.minimum(t, censor), (t <= censor).astype(float)
+
+
+LOCATION_DATA = _location_data()
+
+
+def _fit_at_shift(family, c):
+    """(linear predictor, log-likelihood) with x shifted by c."""
+    x, z, y, time, event = LOCATION_DATA
+    if family == "logistic":
+        X = np.column_stack([np.ones(x.size), x + c, z])
+        fit = fit_logistic(X, y)
+        return X @ fit.beta, logistic_loglik(X, y, fit.beta)[0]
+    X = np.column_stack([x + c, z])
+    fit = fit_cox(X, time, event)
+    eta = X @ fit.beta
+    # a Cox model has no intercept: the shift moves eta by a constant
+    return eta - eta.mean(), cox_loglik(X, time, event, fit.beta)[0]
+
+
+@pytest.mark.parametrize("family", ["logistic", "cox"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(c=st.floats(-1000.0, 1000.0))
+def test_shifting_a_covariate_leaves_the_fit_unchanged(family, c):
+    eta0, ll0 = _fit_at_shift(family, 0.0)
+    eta, ll = _fit_at_shift(family, c)
+    assert np.max(np.abs(eta - eta0)) < 1e-9
+    assert abs(ll - ll0) < 1e-9
+
+
+def test_cox_monotone_likelihood_raises_divergence():
+    # a larger x always fails first: the partial likelihood rises without
+    # bound in its coefficient
+    x = np.arange(8.0)
+    message = r"^monotone partial likelihood \(diverging linear predictor\)$"
+    with pytest.raises(FitError, match=message):
+        fit_cox(x[:, None], 10.0 - x, np.ones(8))
 
 
 def test_glm_posterior_draw_requires_convergence():
