@@ -43,7 +43,7 @@ from .engines import (
 from .fitters import FitError
 from .formula import FormulaError, parse_formula
 from .pooling import PoolError, fit_each, pool
-from .substantive import CovariateModelSpec, covariate_family, outcome_family
+from .substantive import CovariateModelSpec, outcome_family
 
 __all__ = ["main"]
 
@@ -188,19 +188,10 @@ def _read_long_csv(path, schema):
 def _covariate_specs_from_flags(args, d):
     if not args.covmodel:
         return default_covariate_specs(d, args.method)
-    specs = []
-    for f in args.covmodel:
-        target = f.response
-        if not d.has_column(target):
-            _fail("--covmodel", f"unknown target column {target!r}")
-        try:
-            specs.append(CovariateModelSpec(
-                target=target, family=covariate_family(d.column(target).kind),
-                predictors=f.terms, intercept=f.intercept,
-            ))
-        except ValueError as exc:
-            _fail("--covmodel", str(exc))
-    return tuple(specs)
+    try:
+        return tuple(CovariateModelSpec.from_formula(f, d) for f in args.covmodel)
+    except ValueError as exc:
+        _fail("--covmodel", str(exc))
 
 
 def cmd_impute(args) -> int:

@@ -4,6 +4,13 @@ Values are stored as float64 throughout (binary columns included); a missing
 cell holds NaN and has its observed-mask entry set to False.  The mask is the
 authoritative record of missingness: a completed view keeps mask entries
 False while carrying filled-in values.
+
+A column is checked once, when it is built: `Column.__post_init__` runs every
+per-column check (shape, NaN marked observed, 0/1 values of binary and event
+columns, positive times, no missing cells in a complete role).  A `Dataset`
+checks only what concerns its set of columns, unique names and equal
+lengths, so a dataset rebuilt from existing columns, such as a completed
+view, does not check them again.
 """
 
 from __future__ import annotations
@@ -81,30 +88,27 @@ class Column:
         object.__setattr__(self, "observed", observed)
         if values.ndim != 1 or observed.shape != values.shape:
             raise DataError(f"column {self.name}: values/observed shape mismatch")
-        if np.any(np.isnan(values) & observed):
+        filled = ~np.isnan(values)
+        if np.any(~filled & observed):
             raise DataError(f"column {self.name}: NaN marked as observed")
+        if self.kind is VariableKind.BINARY and not _zero_one(values[filled]):
+            raise DataError(f"binary column {self.name} contains values outside {{0, 1}}")
+        if self.role is VariableRole.EVENT and not _zero_one(values[observed]):
+            raise DataError(f"event column {self.name} must be 0/1")
+        if self.role is VariableRole.TIME and not np.all(values[observed] > 0.0):
+            raise DataError(f"time column {self.name} must be strictly positive")
+        if self.role.value in _COMPLETE_ROLES and not observed.all():
+            raise DataError(
+                f"column {self.name} has role {self.role.value} and may not contain missing values"
+            )
 
     @property
     def n_missing(self) -> int:
         return int(np.sum(~self.observed))
 
-    def validate(self):
-        filled = self.values[~np.isnan(self.values)]
-        if self.kind is VariableKind.BINARY and filled.size:
-            if not np.all((filled == 0.0) | (filled == 1.0)):
-                raise DataError(f"binary column {self.name} contains values outside {{0, 1}}")
-        if self.role in (VariableRole.EVENT,):
-            obs = self.values[self.observed]
-            if obs.size and not np.all((obs == 0.0) | (obs == 1.0)):
-                raise DataError(f"event column {self.name} must be 0/1")
-        if self.role is VariableRole.TIME:
-            obs = self.values[self.observed]
-            if obs.size and not np.all(obs > 0.0):
-                raise DataError(f"time column {self.name} must be strictly positive")
-        if self.role.value in _COMPLETE_ROLES and self.n_missing:
-            raise DataError(
-                f"column {self.name} has role {self.role.value} and may not contain missing values"
-            )
+
+def _zero_one(values) -> bool:
+    return bool(np.all((values == 0.0) | (values == 1.0)))
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,6 @@ class Dataset:
         lengths = {c.values.shape[0] for c in self.columns}
         if len(lengths) > 1:
             raise DataError("columns differ in length")
-        for col in self.columns:
-            col.validate()
 
     @property
     def n(self) -> int:
@@ -146,6 +148,7 @@ class Dataset:
         """Dataset with replaced value arrays; masks and metadata are kept.
 
         Observed cells must be left untouched by the caller; this is checked.
+        A column not named in `new_values` is the same `Column` object here.
         """
         cols = []
         for col in self.columns:

@@ -21,6 +21,12 @@ the M imputations runs an independent chain from a fresh random
 initialization.  A covariate model that names the reserved column CUMHAZ
 conditions on the marginal Nelson-Aalen cumulative hazard, which the engine
 adds to the dataset under that name.
+
+The input's columns were checked when they were built, and the engine does
+not check them again.  A chain owns only the columns it imputes: it copies
+each sampled column once per attempt and reads every other column of the
+input in place.  Each completed dataset holds new columns for the sampled
+covariates and shares every other `Column` with the input.
 """
 
 from __future__ import annotations
@@ -221,7 +227,6 @@ class _Context:
     config: EngineConfig
     sampled: list[str]  # covariates imputed by sampling, in missingness order
     specs: dict[str, CovariateModelSpec]
-    masks: dict[str, np.ndarray]
     missing_idx: dict[str, np.ndarray]
     model: Family | None = None  # smcfcs: the outcome family
     response: object = None  # smcfcs: model.prepare(response arrays), built once per run
@@ -310,15 +315,14 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         model = FAMILIES[family]
         try:
             response = model.prepare(*response_arrays(formula, d))
-        except DataError as exc:  # an absent response column
+        except (DataError, FitError) as exc:  # an absent column, or a time that is not > 0
             raise SubstantiveModelError(f"substantive response: {exc}") from None
         except FormulaError as exc:  # a response column with missing cells
             raise SubstantiveModelError(f"substantive {exc}") from None
 
-    masks = {c.name: c.observed.copy() for c in d.columns}
-    missing_idx = {name: np.flatnonzero(~masks[name]) for name in sampled}
+    missing_idx = {name: np.flatnonzero(~d.column(name).observed) for name in sampled}
     return _Context(
-        d=d, config=config, sampled=sampled, specs=specs, masks=masks,
+        d=d, config=config, sampled=sampled, specs=specs,
         missing_idx=missing_idx, model=model, response=response,
     )
 
@@ -327,11 +331,15 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
 # chain primitives
 
 def _init_columns(ctx: _Context, rng) -> dict[str, np.ndarray]:
-    cur = {c.name: c.values.copy() for c in ctx.d.columns}
+    """The chain's columns by name: a copy of each sampled column, its missing
+    cells drawn from its observed values, and every other column in place."""
+    cur = {c.name: c.values for c in ctx.d.columns}
     for name in ctx.sampled:
-        observed_values = cur[name][ctx.masks[name]]
+        col = ctx.d.column(name)
+        observed_values = col.values[col.observed]
         if observed_values.size == 0:
             raise EngineFailure(f"column {name} has no observed values")
+        cur[name] = col.values.copy()
         cur[name][ctx.missing_idx[name]] = rng.choice(
             observed_values, size=ctx.missing_idx[name].size, replace=True
         )
@@ -438,7 +446,7 @@ def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
     for name in ctx.sampled:
         spec = ctx.specs[name]
         X = design_from_arrays(spec.formula, cur, ctx.d.n)
-        obs = ctx.masks[name]
+        obs = ctx.d.column(name).observed
         fit = spec.model.fit(X[obs], cur[name][obs], warm.get(name))
         phi = spec.model.posterior(fit, rng)
         warm[name] = fit.beta
@@ -513,7 +521,7 @@ def _run_engine(d: Dataset, config: EngineConfig, rng, sweep_fn) -> ImputationRe
         diag.traces += chain.traces
         for target, proposals in chain.proposals.items():
             diag.record_sampling(target, proposals, chain.accepted[target], chain.fallbacks[target])
-        datasets.append(ctx.d.with_values({name: cur[name] for name in cur}))
+        datasets.append(ctx.d.with_values({name: cur[name] for name in ctx.sampled}))
     return ImputationResult(datasets=tuple(datasets), diagnostics=diag)
 
 

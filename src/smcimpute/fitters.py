@@ -260,9 +260,6 @@ class StepCumHazard:
         padded = np.concatenate(([0.0], self.cumvals))
         return padded[idx]
 
-    def jumps(self) -> np.ndarray:
-        return np.diff(np.concatenate(([0.0], self.cumvals)))
-
 
 # ---------------------------------------------------------------------------
 # Cox proportional hazards (Breslow ties)
@@ -285,9 +282,15 @@ class CoxLayout:
 
 
 def cox_layout(time, event) -> CoxLayout:
-    """Sort the response by time and index the risk set of each event time."""
+    """Sort the response by time and index the risk set of each event time.
+
+    FitError for a time <= 0.  This is the only check of the survival times:
+    every Cox fit, Breslow baseline and Nelson-Aalen estimate runs on a layout.
+    """
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=float)
+    if np.any(time <= 0):
+        raise FitError("survival times must be strictly positive")
     order = np.argsort(time, kind="stable")
     ts = time[order]
     ds = event[order].astype(bool)
@@ -356,16 +359,12 @@ def fit_cox(
     fit.beta, layout=fit.layout).
     """
     X = np.asarray(X, dtype=float)
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=float)
-    if np.any(time <= 0):
-        raise FitError("survival times must be strictly positive")
-    if not np.any(event == 1.0):
+    if layout is None:
+        layout = cox_layout(time, event)
+    if not np.any(layout.event == 1.0):
         raise FitError("no events observed")
     if np.any(X.std(axis=0) == 0):
         raise FitError("constant covariate column in Cox design")
-    if layout is None:
-        layout = cox_layout(time, event)
     beta, info, _ = _newton(
         lambda b: cox_loglik(X, time, event, b, layout=layout), X, beta0,
         singular="Cox information matrix is singular",
@@ -394,11 +393,7 @@ def breslow_baseline(X, time, event, beta, layout: CoxLayout | None = None) -> S
 
 def nelson_aalen(time, event) -> StepCumHazard:
     """Marginal cumulative hazard: jump d_t / n_t at each event time."""
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=float)
-    if np.any(time <= 0):
-        raise FitError("survival times must be strictly positive")
-    return breslow_baseline(np.zeros((time.size, 0)), time, event, np.zeros(0))
+    return breslow_baseline(np.zeros((np.size(time), 0)), time, event, np.zeros(0))
 
 
 def draw_cox_posterior(fit: CoxFit, X, time, event, rng) -> tuple[np.ndarray, StepCumHazard]:

@@ -55,7 +55,7 @@ from .fitters import FitError
 from .formula import design_from_arrays, parse_formula, response_arrays
 from .pooling import PoolError, fit_each, pool
 from .rng import stream, subsequence
-from .substantive import FAMILIES, CovariateModelSpec, covariate_family
+from .substantive import FAMILIES, CovariateModelSpec
 
 __all__ = [
     "Study",
@@ -181,13 +181,9 @@ def _pooled(result, family, formula):
 
 def _fcs_linear(cfg, family, formula, d, seq):
     """Chained equations with the study's covariate models."""
-    specs = []
-    for text in STUDIES[cfg.dgp].fcs_models:
-        model = parse_formula(text)
-        kind = d.column(model.response).kind
-        specs.append(CovariateModelSpec(model.response, covariate_family(kind),
-                                        predictors=model.terms))
-    config = EngineConfig(method="fcs", m=cfg.m, covariate_specs=tuple(specs))
+    specs = tuple(CovariateModelSpec.from_formula(parse_formula(text), d)
+                  for text in STUDIES[cfg.dgp].fcs_models)
+    config = EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
     return _pooled(run_fcs(d, config, rng=seq), family, formula)
 
 

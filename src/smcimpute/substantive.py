@@ -88,7 +88,7 @@ def SubstantiveParams(family: str, beta, sigma2=None, baseline=None) -> Params:
 
 def log_ratio_normal(y, g, sigma2):
     if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+        raise FitError("sigma2 must be positive")
     resid = np.asarray(y, dtype=float) - np.asarray(g, dtype=float)
     return -(resid * resid) / (2.0 * sigma2)
 
@@ -103,13 +103,13 @@ def log_ratio_cox(cumhaz, event, g):
     """Log acceptance ratio for proportional hazards, both event statuses.
 
     Requires cumhaz > 0 wherever event == 1: an observed event at zero
-    cumulative hazard is inconsistent with the model.
+    cumulative hazard is inconsistent with the model, and raises FitError.
     """
     cumhaz = np.asarray(cumhaz, dtype=float)
     event = np.asarray(event, dtype=float)
     g = np.asarray(g, dtype=float)
     if np.any((event == 1.0) & (cumhaz <= 0.0)):
-        raise ValueError("event at zero cumulative hazard")
+        raise FitError("event at zero cumulative hazard")
     with np.errstate(over="ignore"):
         heg = cumhaz * np.exp(g)
     censored_part = -heg
@@ -194,7 +194,10 @@ class NormalLinear(Family):
 
     def sample(self, params, mu, rng):
         """Covariate values drawn given their linear predictor `mu`."""
-        return mu.copy() if params.sigma2 == 0 else rng.normal(mu, np.sqrt(params.sigma2))
+        if params.sigma2 == 0:
+            return mu.copy()
+        # the same values and generator state as rng.normal(mu, sd), faster
+        return mu + np.sqrt(params.sigma2) * rng.standard_normal(mu.shape[0])
 
 
 class Logistic(Family):
@@ -285,6 +288,16 @@ class CovariateModelSpec:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "formula", formula)
 
+    @classmethod
+    def from_formula(cls, formula: ModelFormula, d) -> "CovariateModelSpec":
+        """The spec of a parsed `target ~ predictors` formula for dataset `d`:
+        the family follows the kind of the target column.  ValueError (a
+        DataError for an unknown target) when the formula cannot be one."""
+        if not d.has_column(formula.response):
+            raise DataError(f"unknown target column {formula.response!r}")
+        return cls(formula.response, covariate_family(d.column(formula.response).kind),
+                   formula.terms, formula.intercept)
+
 
 def substantive_estimates(family: str, formula: ModelFormula, d, response=None):
     """(estimate vector, squared-standard-error vector) of one completed-data fit.
@@ -302,7 +315,7 @@ def substantive_estimates(family: str, formula: ModelFormula, d, response=None):
 def shared_response(family: str, formula: ModelFormula, datasets):
     """The prepared response of every dataset when all their response arrays
     are equal, as when only covariates were imputed; else None.  Also None
-    when a dataset lacks a complete response, which its own fit reports."""
+    when a dataset lacks a complete, valid response, which its own fit reports."""
     model = outcome_family(family, formula)
     try:
         arrays = [response_arrays(formula, d) for d in datasets]
@@ -312,4 +325,7 @@ def shared_response(family: str, formula: ModelFormula, datasets):
         all(map(np.array_equal, other, arrays[0])) for other in arrays[1:]
     ):
         return None
-    return model.prepare(*arrays[0])
+    try:
+        return model.prepare(*arrays[0])
+    except FitError:  # survival times that are not positive
+        return None

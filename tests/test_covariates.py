@@ -115,8 +115,11 @@ def test_logistic_all_zero_target_flagged():
 def test_sample_degenerate_variance_returns_mean():
     spec = linear_spec()
     params = CovariateParams(beta=np.array([1.0, 2.0]), sigma2=0.0)
-    value = sample(spec, params, 3.0, np.random.default_rng(0), 1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    value = sample(spec, params, 3.0, rng, 1)
     assert value == pytest.approx([7.0])
+    assert rng.bit_generator.state == state  # nothing is drawn
 
 
 def test_sample_logistic_limit():

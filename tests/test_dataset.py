@@ -257,6 +257,20 @@ def test_time_column_strictly_positive():
         make_dataset([("w", C, VariableRole.TIME, [1.0, 0.0], [True, True])])
 
 
+def test_a_column_checks_its_binary_values_when_built():
+    with pytest.raises(DataError, match=r"binary column b contains values outside \{0, 1\}"):
+        Column("b", B, PART, np.array([0.0, 2.0]), np.array([True, True]))
+    # an unobserved but filled cell, as in a completed view, is checked too
+    with pytest.raises(DataError, match="outside"):
+        Column("b", B, PART, np.array([1.0, 0.5]), np.array([True, False]))
+
+
+def test_a_column_checks_its_times_when_built():
+    for bad in (0.0, -1.0):
+        with pytest.raises(DataError, match="time column w must be strictly positive"):
+            Column("w", C, VariableRole.TIME, np.array([1.0, bad]), np.array([True, True]))
+
+
 def test_complete_roles_forbid_missing():
     with pytest.raises(DataError):
         make_dataset([("z", C, COMP, [1.0, np.nan], [True, False])])

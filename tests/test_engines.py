@@ -15,6 +15,7 @@ from smcimpute.engines import (
     CUMHAZ,
     EngineConfig,
     EngineFailure,
+    SubstantiveModelError,
     default_covariate_specs,
     jav_analysis_formula,
     jav_dataset,
@@ -23,7 +24,7 @@ from smcimpute.engines import (
     smc_binary_probs,
     smc_reject_sample,
 )
-from smcimpute.fitters import FitError
+from smcimpute.fitters import FitError, StepCumHazard
 from smcimpute.formula import Term, parse_formula
 from smcimpute.substantive import SubstantiveParams
 
@@ -132,6 +133,27 @@ def test_engines_preserve_observed_cells_and_are_deterministic():
     assert not np.array_equal(
         r1.datasets[0].column("x").values, r1.datasets[1].column("x").values
     )
+
+
+@pytest.mark.parametrize("method", ["fcs", "smcfcs"])
+def test_completed_datasets_share_every_column_they_do_not_impute(method):
+    d0 = quadratic_data(n=80, seed=4)
+    z = np.random.default_rng(4).normal(size=d0.n)
+    d = Dataset(d0.columns + (Column("z", C, COMP, z, np.ones(d0.n, dtype=bool)),))
+    x_before = d.column("x").values.copy()
+    if method == "fcs":
+        result = run_fcs(d, EngineConfig(method="fcs", m=2, iterations=2, seed=11,
+                                         covariate_specs=default_covariate_specs(d, "fcs")))
+    else:
+        result = run_smcfcs(d, smcfcs_quadratic_config(m=2, iterations=2))
+    for imp in result.datasets:
+        assert imp.column("y") is d.column("y")
+        assert imp.column("z") is d.column("z")
+        assert imp.column("x") is not d.column("x")
+    # the chains wrote into copies of x, never into the input
+    np.testing.assert_array_equal(d.column("x").values, x_before)
+    assert not np.shares_memory(result.datasets[0].column("x").values,
+                                result.datasets[1].column("x").values)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +338,29 @@ def test_rejection_raises_when_the_density_vanishes_at_every_proposal():
                           np.random.default_rng(5), 64)
 
 
+def _reject_sample_one_cell_each(family, formula, psi, cur, n=4):
+    spec = CovariateModelSpec("x", "normal_linear", predictors=())
+    phi = CovariateParams(beta=np.array([0.0]), sigma2=1.0)
+    return smc_reject_sample(family, formula, psi, spec, phi, cur, np.arange(n),
+                             np.random.default_rng(5), 64)
+
+
+def test_rejection_raises_fit_error_for_an_event_at_zero_cumulative_hazard():
+    # the baseline's first knot lies after every event time, so H0(t) = 0 there
+    psi = SubstantiveParams(family="cox", beta=np.array([1.0]),
+                            baseline=StepCumHazard(knots=[5.0], cumvals=[0.3]))
+    cur = {"x": np.zeros(4), "t": np.array([1.0, 2.0, 3.0, 4.0]), "d": np.ones(4)}
+    with pytest.raises(FitError, match="event at zero cumulative hazard"):
+        _reject_sample_one_cell_each("cox", parse_formula("surv(t,d) ~ x"), psi, cur)
+
+
+def test_rejection_raises_fit_error_for_a_zero_outcome_variance():
+    psi = SubstantiveParams(family="normal_linear", beta=np.array([0.0, 1.0]), sigma2=0.0)
+    cur = {"x": np.zeros(4), "y": np.ones(4)}
+    with pytest.raises(FitError, match="sigma2 must be positive"):
+        _reject_sample_one_cell_each("normal_linear", parse_formula("y ~ x"), psi, cur)
+
+
 # ---------------------------------------------------------------------------
 # configuration validation and failure policy
 
@@ -336,6 +381,18 @@ def test_smcfcs_rejects_a_response_with_missing_cells():
                                   covariate_specs=(CovariateModelSpec("x", "normal_linear",
                                                                       predictors=()),))
     with pytest.raises(DataError, match="column x has missing cells"):
+        run_smcfcs(d, cfg)
+
+
+def test_smcfcs_rejects_a_survival_time_that_is_not_positive():
+    # t is a complete covariate, not a time column, so only the run's one
+    # preparation of the response checks its values
+    d0 = quadratic_data(seed=10)
+    full = np.ones(d0.n, dtype=bool)
+    d = Dataset(d0.columns + (Column("t", C, COMP, np.linspace(0.0, 5.0, d0.n), full),
+                              Column("e", B, COMP, np.ones(d0.n), full)))
+    cfg = smcfcs_quadratic_config(substantive=("cox", parse_formula("surv(t,e) ~ x")))
+    with pytest.raises(SubstantiveModelError, match="survival times must be strictly positive"):
         run_smcfcs(d, cfg)
 
 

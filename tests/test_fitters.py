@@ -341,12 +341,27 @@ def test_breslow_jumps_track_riskset_denominators():
     event[:2] = 1.0
     beta = np.array([0.7])
     base = breslow_baseline(X, time, event, beta)
-    jumps = base.jumps()
+    jumps = np.diff(np.concatenate(([0.0], base.cumvals)))
     for knot, jump in zip(base.knots, jumps):
         risk = time >= knot
         d_t = np.sum((time == knot) & (event == 1.0))
         denom = np.sum(np.exp(X[risk, 0] * beta[0]))
         assert jump == pytest.approx(d_t / denom, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_cox_layout_rejects_a_time_that_is_not_positive(bad):
+    time, event = np.array([1.0, bad, 2.0]), np.array([1.0, 0.0, 1.0])
+    message = "^survival times must be strictly positive$"
+    with pytest.raises(FitError, match=message):
+        cox_layout(time, event)
+    # the fit and the hazard estimators build their layout through it
+    with pytest.raises(FitError, match=message):
+        fit_cox(np.array([[0.1], [0.2], [0.4]]), time, event)
+    with pytest.raises(FitError, match=message):
+        nelson_aalen(time, event)
+    with pytest.raises(FitError, match=message):
+        breslow_baseline(np.zeros((3, 0)), time, event, np.zeros(0))
 
 
 def test_nelson_aalen_all_censored():

@@ -178,6 +178,17 @@ def test_fit_each_prepares_each_cox_response_when_time_columns_differ(monkeypatc
     assert not np.array_equal(est[1], est[0])
 
 
+def test_fit_each_reports_every_imputation_of_a_survival_time_that_is_not_positive():
+    # the time is an outcome column here, so no column check rejects t = 0;
+    # the shared layout fails, and each imputation's own fit reports it
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=20)
+    d = _complete({"x": x, "y": np.arange(20.0), "e": np.ones(20)})
+    with pytest.raises(PoolError) as info:
+        fit_each([d, d], "cox", parse_formula("surv(y,e) ~ x"))
+    assert info.value.failed_indices == (1, 2)
+
+
 def test_fit_each_perfect_fit_zero_variance():
     x = np.arange(1.0, 7.0)
     d = _complete({"x": x, "y": 3.0 * x})

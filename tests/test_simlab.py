@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,31 @@ def test_study_scale_smcfcs_runs_need_no_fallback():
         assert sum(result.diagnostics.fallbacks.values()) == 0
         for target in result.diagnostics.proposals:
             assert result.diagnostics.mean_acceptance(target) > 0.0
+
+
+def test_fcs_linear_keeps_a_study_model_without_intercept(monkeypatch):
+    # the study's covariate models go through the one formula-to-spec
+    # constructor, so "- 1" reaches the engine as intercept=False
+    monkeypatch.setitem(simlab.STUDIES, "quadratic",
+                        replace(simlab.STUDIES["quadratic"], fcs_models=("x ~ y - 1",)))
+    received = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(d, config, rng=None):
+        received.extend(config.covariate_specs)
+        raise Stop
+
+    monkeypatch.setattr(simlab, "run_fcs", capture)
+    cfg = ScenarioConfig(dgp="quadratic", variant="normal", mechanism="mcar",
+                         n=50, reps=1, m=2, methods=("fcs_linear",), seed=3)
+    family, formula, _, _ = scenario_truth(cfg)
+    d = apply_mcar(gen_quadratic("normal", cfg.n, stream(3, "data")), 0.7, stream(3, "mask"))
+    with pytest.raises(Stop):
+        simlab.METHODS["fcs_linear"](cfg, family, formula, d, None)
+    assert [(spec.target, spec.intercept) for spec in received] == [("x", False)]
+    assert str(received[0].formula) == "x ~ y - 1"
 
 
 def test_builtin_scenarios_cover_all_studies():

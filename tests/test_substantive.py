@@ -117,7 +117,7 @@ def test_cox_event_vanishes_as_g_decreases():
 
 def test_cox_event_rejects_zero_hazard():
     p = cox_params([1.0], [5.0], [0.3])
-    with pytest.raises(ValueError):
+    with pytest.raises(FitError, match="event at zero cumulative hazard"):
         ratio(p, 0.0, t=1.0, d=1)  # before the first knot
 
 
@@ -232,3 +232,18 @@ def test_draw_substantive_draws_differ():
     a = fit_and_draw("normal_linear", f, d, np.random.default_rng(4))
     b = fit_and_draw("normal_linear", f, d, np.random.default_rng(5))
     assert not np.array_equal(a.beta, b.beta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 19_200])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+def test_normal_sample_draws_what_rng_normal_draws(seed, n):
+    # mu + sd * standard_normal(n) is rng.normal(mu, sd): same values, and
+    # the generator is left in the same state
+    mu = np.random.default_rng(100 + seed).normal(0.0, 3.0, n)
+    params = SubstantiveParams(family="normal_linear", beta=np.zeros(1), sigma2=0.37 + seed)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = FAMILIES["normal_linear"].sample(params, mu, ours)
+    expected = theirs.normal(mu, np.sqrt(params.sigma2))
+    assert drawn.tobytes() == expected.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
