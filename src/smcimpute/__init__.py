@@ -30,10 +30,9 @@ from .engines import (
     run_smcfcs,
 )
 from .fitters import (
-    CoxFit,
     FitError,
-    GlmFit,
     LinearFit,
+    NewtonFit,
     StepCumHazard,
     breslow_baseline,
     draw_cox_posterior,

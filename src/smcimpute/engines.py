@@ -315,7 +315,7 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         model = FAMILIES[family]
         try:
             response = model.prepare(*response_arrays(formula, d))
-        except (DataError, FitError) as exc:  # an absent column, or a time that is not > 0
+        except (DataError, FitError) as exc:  # an absent column, a time not > 0, a y not 0/1
             raise SubstantiveModelError(f"substantive response: {exc}") from None
         except FormulaError as exc:  # a response column with missing cells
             raise SubstantiveModelError(f"substantive {exc}") from None

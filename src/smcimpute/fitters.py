@@ -9,6 +9,8 @@ regression) is declared when the standard deviation of the linear predictor
 X beta across the rows exceeds 30, which does not depend on where a covariate
 sits or on the intercept.  Every fit failure, divergence and 50 iterations
 without convergence included, raises FitError with the fit's own message.
+Both return a NewtonFit.  A Cox fit sorts its design by time once, and each
+step runs the kernel that cox_loglik also calls.
 
 Every symmetric positive-definite solve (normal equations, Newton step,
 inverse information) goes through one numpy Cholesky factorization, as does
@@ -18,7 +20,7 @@ is not positive definite, raises FitError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +29,7 @@ from ._special import expit, log_expit
 __all__ = [
     "FitError",
     "LinearFit",
-    "GlmFit",
-    "CoxFit",
+    "NewtonFit",
     "CoxLayout",
     "StepCumHazard",
     "fit_linear",
@@ -121,6 +122,18 @@ def _newton(loglik, X, beta0, *, singular: str, diverged: str, stalled: str):
     raise FitError(stalled)
 
 
+@dataclass(frozen=True)
+class NewtonFit:
+    """A logistic or Cox MLE from `_newton`."""
+
+    beta: np.ndarray
+    covariance: np.ndarray  # inverse observed information at the MLE
+    iterations: int
+
+    def coef_variances(self) -> np.ndarray:
+        return np.diag(self.covariance)
+
+
 def multivariate_normal_draw(mean, cov, rng) -> np.ndarray:
     """One draw from N(mean, cov) via the Cholesky factor of cov."""
     mean = np.asarray(mean, dtype=float)
@@ -186,16 +199,6 @@ def draw_linear_posterior(fit: LinearFit, rng) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 # logistic regression
 
-@dataclass(frozen=True)
-class GlmFit:
-    beta: np.ndarray
-    covariance: np.ndarray  # inverse observed information at the MLE
-    iterations: int
-
-    def coef_variances(self) -> np.ndarray:
-        return np.diag(self.covariance)
-
-
 def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray):
     """Log-likelihood, score, and observed information for logistic regression."""
     eta = X @ beta
@@ -209,7 +212,7 @@ def logistic_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray):
     return ll, score, info
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) -> GlmFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) -> NewtonFit:
     """Newton-Raphson MLE; FitError on separation or non-convergence."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,10 +227,10 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
     if np.max(np.abs(y - expit(X @ beta))) < 1e-6:
         raise FitError(failed)
     cov = _inverse_information(info, "observed information is singular at the MLE")
-    return GlmFit(beta=beta, covariance=cov, iterations=iterations)
+    return NewtonFit(beta=beta, covariance=cov, iterations=iterations)
 
 
-def draw_glm_posterior(fit: GlmFit, rng) -> np.ndarray:
+def draw_glm_posterior(fit: NewtonFit, rng) -> np.ndarray:
     """Asymptotic-normal posterior draw: N(MLE, inverse observed information)."""
     return multivariate_normal_draw(fit.beta, fit.covariance, rng)
 
@@ -310,12 +313,8 @@ def _risk_set_sums(xs, beta):
     return eta, w, np.cumsum(w[::-1])[::-1]
 
 
-def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndarray,
-               layout: CoxLayout | None = None):
-    """Breslow-tie partial log-likelihood, score, and observed information."""
-    if layout is None:
-        layout = cox_layout(time, event)
-    xs = np.asarray(X, dtype=float)[layout.order]
+def _cox_terms(xs, layout: CoxLayout, beta):
+    """cox_loglik of the design rows in time order, xs = X[layout.order]."""
     ds, risk_start, d_count = layout.ds, layout.risk_start, layout.d_count
     eta, w, s0 = _risk_set_sums(xs, beta)
     s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1]
@@ -335,14 +334,10 @@ def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndar
     return ll, score, info
 
 
-@dataclass(frozen=True)
-class CoxFit:
-    beta: np.ndarray
-    covariance: np.ndarray  # inverse observed information
-    layout: CoxLayout | None = field(default=None, repr=False, compare=False)
-
-    def coef_variances(self) -> np.ndarray:
-        return np.diag(self.covariance)
+def cox_loglik(X: np.ndarray, time: np.ndarray, event: np.ndarray, beta: np.ndarray):
+    """Breslow-tie partial log-likelihood, score, and observed information."""
+    layout = cox_layout(time, event)
+    return _cox_terms(np.asarray(X, dtype=float)[layout.order], layout, beta)
 
 
 def fit_cox(
@@ -351,12 +346,10 @@ def fit_cox(
     event: np.ndarray,
     beta0: np.ndarray | None = None,
     layout: CoxLayout | None = None,
-) -> CoxFit:
+) -> NewtonFit:
     """Cox partial-likelihood MLE.
 
-    `layout` is cox_layout(time, event), built here when not given.  The
-    Breslow baseline at the solution is breslow_baseline(X, time, event,
-    fit.beta, layout=fit.layout).
+    `layout` is cox_layout(time, event), built here when not given.
     """
     X = np.asarray(X, dtype=float)
     if layout is None:
@@ -365,13 +358,14 @@ def fit_cox(
         raise FitError("no events observed")
     if np.any(X.std(axis=0) == 0):
         raise FitError("constant covariate column in Cox design")
-    beta, info, _ = _newton(
-        lambda b: cox_loglik(X, time, event, b, layout=layout), X, beta0,
+    xs = X[layout.order]
+    beta, info, iterations = _newton(
+        lambda b: _cox_terms(xs, layout, b), X, beta0,
         singular="Cox information matrix is singular",
         diverged="monotone partial likelihood (diverging linear predictor)",
         stalled="Cox fit did not converge")
     cov = _inverse_information(info, "Cox information matrix is singular at the MLE")
-    return CoxFit(beta=beta, covariance=cov, layout=layout)
+    return NewtonFit(beta=beta, covariance=cov, iterations=iterations)
 
 
 def breslow_baseline(X, time, event, beta, layout: CoxLayout | None = None) -> StepCumHazard:
@@ -396,13 +390,13 @@ def nelson_aalen(time, event) -> StepCumHazard:
     return breslow_baseline(np.zeros((np.size(time), 0)), time, event, np.zeros(0))
 
 
-def draw_cox_posterior(fit: CoxFit, X, time, event, rng) -> tuple[np.ndarray, StepCumHazard]:
-    """beta* ~ N(beta, covariance); baseline re-estimated by Breslow at beta*.
+def draw_cox_posterior(fit: NewtonFit, X, layout: CoxLayout,
+                       rng) -> tuple[np.ndarray, StepCumHazard]:
+    """beta* ~ N(beta, covariance); baseline re-estimated by Breslow at beta*
+    on the fitted response's `layout`.
 
     No posterior uncertainty is attached to the baseline itself beyond its
-    re-evaluation at the drawn coefficients.  The re-estimate reuses the
-    fit's risk-set layout, so time and event must be the data that was fitted.
+    re-evaluation at the drawn coefficients.
     """
     beta_star = multivariate_normal_draw(fit.beta, fit.covariance, rng)
-    baseline_star = breslow_baseline(X, time, event, beta_star, layout=fit.layout)
-    return beta_star, baseline_star
+    return beta_star, breslow_baseline(X, layout.time, layout.event, beta_star, layout=layout)

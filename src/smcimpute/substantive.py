@@ -135,7 +135,7 @@ class Family:
         """Raise ValueError if `params` lacks a family extra."""
 
     def prepare(self, y):
-        """The response in the form `fit` and `draw` take; built once per run."""
+        """The response in the form `fit` and `draw` take; built and checked once per run."""
         return y
 
     def fit(self, X, response, warm=None):
@@ -204,6 +204,11 @@ class Logistic(Family):
     name = "logistic"
     binary = True
 
+    def prepare(self, y):
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise FitError("logistic response must be 0/1")
+        return y
+
     def fit(self, X, response, warm=None):
         return fit_logistic(X, response, beta0=warm)
 
@@ -234,7 +239,7 @@ class Cox(Family):
         return fit_cox(X, response.time, response.event, beta0=warm, layout=response)
 
     def draw(self, fit, X, response, rng):
-        beta, baseline = draw_cox_posterior(fit, X, response.time, response.event, rng)
+        beta, baseline = draw_cox_posterior(fit, X, response, rng)
         return Params(beta, baseline=baseline)
 
     def y_parts(self, formula, psi, cols, rows):

@@ -260,6 +260,18 @@ def test_impute_outcome_model_data_error_names_the_smodel_flag(quad_files, capsy
     assert f"--smodel: {message}" in capsys.readouterr().err
 
 
+def test_impute_logistic_outcome_that_is_not_0_1_is_usage_error(quad_files, capsys):
+    # y is continuous: rejected at set-up, before any chain runs
+    tmp, data, schema = quad_files
+    argv = impute_args(data, schema, tmp / "o.csv")
+    argv[argv.index("--family") + 1] = "logistic"
+    argv[argv.index("--smodel") + 1] = "y ~ x"
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --smodel: substantive response: logistic response must be 0/1"]
+    assert not (tmp / "o.csv").exists()
+
+
 @pytest.mark.parametrize("covmodel", ["x ~ x + y", "x ~ x^2"])
 def test_impute_covmodel_with_its_target_among_predictors_is_usage_error(
         quad_files, capsys, covmodel):

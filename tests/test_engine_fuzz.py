@@ -2,9 +2,12 @@
 
 Each dataset has 5-60 rows, 1-3 partial covariates of both kinds with 0-90%
 of their cells missing, continuous covariates placed at 0, 50 or 1000, and a
-normal, logistic or Cox outcome.  Only EngineFailure and DataError may escape
-a run.  A delivered imputation keeps the observed cells bit for bit, holds no
-NaN and keeps binary columns 0/1, and the same seed gives the same bytes.
+normal, logistic or Cox outcome.  Both engines run on each dataset, and
+run_fcs also runs on its jav_dataset when the outcome is not Cox, with every
+partial covariate and the square of the first as the outcome model's terms.
+Only EngineFailure and DataError may escape a run.  A delivered imputation
+keeps the observed cells bit for bit, holds no NaN and keeps binary columns
+0/1, and the same seed gives the same bytes.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from smcimpute.engines import (
     EngineConfig,
     EngineFailure,
     default_covariate_specs,
+    jav_dataset,
     run_fcs,
     run_smcfcs,
 )
@@ -74,22 +78,40 @@ def run_engine(d, method, family):
         return None
 
 
+def check_runs(d, run):
+    """The invariants over every column of d, for two calls of `run`."""
+    result, again = run(), run()
+    assert (result is None) == (again is None)
+    if result is None:
+        return
+    for imputed, repeat in zip(result.datasets, again.datasets):
+        for col in d.columns:
+            values = imputed.column(col.name).values
+            assert values[col.observed].tobytes() == col.values[col.observed].tobytes()
+            assert not np.any(np.isnan(values))
+            if col.kind is B:
+                assert np.all((values == 0.0) | (values == 1.0))
+            assert values.tobytes() == repeat.column(col.name).values.tobytes()
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=fuzz_cases())
 def test_engines_keep_their_invariants_on_random_data(case):
     d = make_dataset(*case)
     family = case[4]
     for method in ("fcs", "smcfcs"):
-        result = run_engine(d, method, family)
-        again = run_engine(d, method, family)
-        assert (result is None) == (again is None)
-        if result is None:
-            continue
-        for imputed, repeat in zip(result.datasets, again.datasets):
-            for col in d.columns:
-                values = imputed.column(col.name).values
-                assert values[col.observed].tobytes() == col.values[col.observed].tobytes()
-                assert not np.any(np.isnan(values))
-                if col.kind is B:
-                    assert np.all((values == 0.0) | (values == 1.0))
-                assert values.tobytes() == repeat.column(col.name).values.tobytes()
+        check_runs(d, lambda: run_engine(d, method, family))
+    if family == "cox":
+        return
+    names = [c.name for c in d.partial_covariates()]
+    dj = jav_dataset(parse_formula(f"y ~ {' + '.join(names)} + {names[0]}^2"), d)
+    config = EngineConfig(method="fcs", m=2, iterations=2, seed=5,
+                          covariate_specs=default_covariate_specs(dj, "fcs"))
+
+    def run_jav():
+        try:
+            return run_fcs(dj, config)
+        except (EngineFailure, DataError):
+            return None
+
+    check_runs(dj, run_jav)

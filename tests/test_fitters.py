@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -376,11 +377,12 @@ def test_draw_cox_posterior_tiny_covariance_reproduces_fit():
     X = rng.normal(size=(n, 1))
     time = rng.exponential(1.0, n) * np.exp(-X[:, 0]) + 1e-3
     event = np.ones(n)
-    fit = fit_cox(X, time, event)
-    shrunk = type(fit)(beta=fit.beta, covariance=fit.covariance * 1e-20)
-    beta, baseline = draw_cox_posterior(shrunk, X, time, event, rng0(11))
+    layout = cox_layout(time, event)
+    fit = fit_cox(X, time, event, layout=layout)
+    shrunk = replace(fit, covariance=fit.covariance * 1e-20)
+    beta, baseline = draw_cox_posterior(shrunk, X, layout, rng0(11))
     np.testing.assert_allclose(beta, fit.beta, atol=1e-8)
-    at_mle = breslow_baseline(X, time, event, fit.beta, layout=fit.layout)
+    at_mle = breslow_baseline(X, time, event, fit.beta, layout=layout)
     np.testing.assert_allclose(baseline.cumvals, at_mle.cumvals, rtol=1e-6)
 
 
@@ -391,7 +393,7 @@ def test_draw_cox_posterior_baseline_tracks_drawn_beta():
     time = rng.exponential(1.0, n) + 1e-3
     event = np.ones(n)
     fit = fit_cox(X, time, event)
-    beta, baseline = draw_cox_posterior(fit, X, time, event, rng0(13))
+    beta, baseline = draw_cox_posterior(fit, X, cox_layout(time, event), rng0(13))
     assert beta[0] != fit.beta[0]
     recomputed = breslow_baseline(X, time, event, beta)
     np.testing.assert_array_equal(baseline.cumvals, recomputed.cumvals)
@@ -404,8 +406,9 @@ def test_draw_cox_posterior_seed_reproducible():
     time = rng.exponential(1.0, n) + 1e-3
     event = np.ones(n)
     fit = fit_cox(X, time, event)
-    a = draw_cox_posterior(fit, X, time, event, rng0(15))
-    b = draw_cox_posterior(fit, X, time, event, rng0(15))
+    layout = cox_layout(time, event)
+    a = draw_cox_posterior(fit, X, layout, rng0(15))
+    b = draw_cox_posterior(fit, X, layout, rng0(15))
     np.testing.assert_array_equal(a[0], b[0])
 
 
@@ -423,24 +426,23 @@ def test_cox_prepared_layout_gives_bit_identical_results():
     for beta0 in (None, np.array([0.8, -0.1])):
         cold = fit_cox(X, time, event, beta0=beta0)
         prepared = fit_cox(X, time, event, beta0=beta0, layout=layout)
-        cold_base, prepared_base = (breslow_baseline(X, time, event, fit.beta, layout=fit.layout)
-                                    for fit in (cold, prepared))
+        cold_base = breslow_baseline(X, time, event, cold.beta)
+        prepared_base = breslow_baseline(X, time, event, prepared.beta, layout=layout)
         for a, b in ((cold.beta, prepared.beta), (cold.covariance, prepared.covariance),
                      (cold_base.knots, prepared_base.knots),
                      (cold_base.cumvals, prepared_base.cumvals)):
             same(a, b)
     beta = np.array([0.9, 0.2])
     for a, b in zip(cox_loglik(X, time, event, beta),
-                    cox_loglik(X, time, event, beta, layout=layout)):
+                    fitters._cox_terms(X[layout.order], layout, beta)):
         same(a, b)
     same(breslow_baseline(X, time, event, beta).cumvals,
          breslow_baseline(X, time, event, beta, layout=layout).cumvals)
-    # the posterior draw re-estimates the baseline on the fit's own layout
-    unprepared = type(prepared)(beta=prepared.beta, covariance=prepared.covariance)
-    a = draw_cox_posterior(prepared, X, time, event, rng0(17))
-    b = draw_cox_posterior(unprepared, X, time, event, rng0(17))
-    same(a[0], b[0])
-    same(a[1].cumvals, b[1].cumvals)
+    # the posterior draw re-estimates the baseline on the layout it is given
+    a = draw_cox_posterior(prepared, X, layout, rng0(17))
+    beta_star = multivariate_normal_draw(prepared.beta, prepared.covariance, rng0(17))
+    same(a[0], beta_star)
+    same(a[1].cumvals, breslow_baseline(X, time, event, beta_star).cumvals)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,7 @@ def test_linear_rejects_collinear_design_whose_cross_product_rounds_indefinite()
 
 @pytest.mark.parametrize("family, loglik, message", [
     ("logistic", "logistic_loglik", "observed information is singular"),
-    ("cox", "cox_loglik", "Cox information matrix is singular"),
+    ("cox", "_cox_terms", "Cox information matrix is singular"),
 ])
 def test_newton_fits_reject_indefinite_information(monkeypatch, family, loglik, message):
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -607,14 +609,37 @@ def test_cox_fit_makes_one_risk_set_pass_per_loglik_call(monkeypatch):
 
     d = gen_cox(300, rng0(34))
     X = np.column_stack([d.column("x1").values, d.column("x2").values])
-    loglik = mock.Mock(wraps=fitters.cox_loglik)
+    loglik = mock.Mock(wraps=fitters._cox_terms)
     passes = mock.Mock(wraps=fitters._risk_set_sums)
-    monkeypatch.setattr(fitters, "cox_loglik", loglik)
+    monkeypatch.setattr(fitters, "_cox_terms", loglik)
     monkeypatch.setattr(fitters, "_risk_set_sums", passes)
-    fit_cox(X, d.column("w").values, d.column("d").values)
+    time, event = d.column("w").values, d.column("d").values
+    fit_cox(X, time, event)
     assert loglik.call_count > 1
     # the fit computes no Breslow baseline at the solution
     assert passes.call_count == loglik.call_count
+    # the fit sorts its design by time once, and every kernel call gets that array
+    designs = [call.args[0] for call in loglik.call_args_list]
+    assert all(xs is designs[0] for xs in designs)
+    assert designs[0].tobytes() == X[cox_layout(time, event).order].tobytes()
+
+
+def test_cox_fit_records_its_newton_iterations():
+    rng = rng0(36)
+    n = 200
+    X = rng.normal(size=(n, 2))
+    time = rng.exponential(1.0, n) * np.exp(-X[:, 0]) + 1e-3
+    event = (rng.random(n) < 0.8).astype(float)
+    fit = fit_cox(X, time, event)
+    assert 1 < fit.iterations < 10
+    # a warm start at the MLE takes the one step that confirms it
+    assert fit_cox(X, time, event, beta0=fit.beta).iterations == 1
+
+
+def test_cox_fit_without_events_is_a_fit_error():
+    X = rng0(37).normal(size=(10, 1))
+    with pytest.raises(FitError, match="^no events observed$"):
+        fit_cox(X, np.arange(1.0, 11.0), np.zeros(10))
 
 
 def test_breslow_risk_set_overflow_is_a_fit_error():

@@ -15,6 +15,7 @@ from scipy.stats import norm, t
 
 from smcimpute import simlab
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
+from smcimpute.engines import EngineFailure
 from smcimpute.fitters import fit_cox, fit_linear, fit_logistic
 from smcimpute.formula import design_from_arrays, parse_formula
 from smcimpute.rng import stream
@@ -205,6 +206,24 @@ def test_run_scenario_calibrates_the_mar_intercept_once(monkeypatch):
                          n=60, reps=3, m=2, methods=("cc",), seed=5)
     assert run_scenario(cfg, threads=1).n_used == 3
     assert calls == [("quadratic", "normal", 0.5)]
+
+
+def test_a_failed_method_drops_its_replication_from_every_row(monkeypatch):
+    smcfcs, calls = simlab.METHODS["smcfcs"], []
+
+    def fails_once(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise EngineFailure("imputation 1 failed after 5 retries")
+        return smcfcs(*args)
+
+    monkeypatch.setitem(simlab.METHODS, "smcfcs", fails_once)
+    cfg = ScenarioConfig(dgp="quadratic", variant="normal", mechanism="mcar",
+                         n=60, reps=3, m=2, methods=("cc", "smcfcs"), seed=5)
+    summary = run_scenario(cfg, threads=1)
+    assert len(calls) == 3
+    assert summary.n_used == 2
+    assert summary.rows and all(row.n_failed == 1 for row in summary.rows)
 
 
 def test_calibration_lives_in_the_run_not_in_module_state():
