@@ -31,6 +31,7 @@ covariates and shares every other `Column` with the input.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,10 @@ class EngineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.method == "smcfcs":

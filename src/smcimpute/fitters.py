@@ -10,7 +10,9 @@ X beta across the rows exceeds 30, which does not depend on where a covariate
 sits or on the intercept.  Every fit failure, divergence and 50 iterations
 without convergence included, raises FitError with the fit's own message.
 Both return a NewtonFit.  A Cox fit sorts its design by time once, and each
-step runs the kernel that cox_loglik also calls.
+step runs the kernel that cox_loglik also calls.  The kernel forms the
+information from one weighted Gram matrix, X' diag(w L) X with L the Breslow
+cumulative hazard at each row, in O(nk) memory rather than O(nk^2).
 
 Every symmetric positive-definite solve (normal equations, Newton step,
 inverse information) goes through one numpy Cholesky factorization, as does
@@ -314,23 +316,26 @@ def _risk_set_sums(xs, beta):
 
 
 def _cox_terms(xs, layout: CoxLayout, beta):
-    """cox_loglik of the design rows in time order, xs = X[layout.order]."""
+    """cox_loglik of the design rows in time order, xs = X[layout.order].
+
+    The information sum_t d_t (S2_t / S0_t - m_t m_t'), with S2_t the
+    weighted sum of x x' over the risk set of event time t and m_t its mean
+    x, is formed as one weighted Gram matrix: sum_t d_t S2_t / S0_t equals
+    X' diag(w L) X, where L_i = sum of d_t / S0_t over the event times whose
+    risk set holds row i (the Breslow cumulative hazard at row i).  So the
+    kernel needs O(nk) memory, not O(nk^2).
+    """
     ds, risk_start, d_count = layout.ds, layout.risk_start, layout.d_count
     eta, w, s0 = _risk_set_sums(xs, beta)
     s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1]
-    s2 = np.cumsum((w[:, None, None] * (xs[:, :, None] * xs[:, None, :]))[::-1], axis=0)[::-1]
 
     s0_t = s0[risk_start]
-    s1_t = s1[risk_start]
-    s2_t = s2[risk_start]
-    mean_t = s1_t / s0_t[:, None]
+    mean_t = s1[risk_start] / s0_t[:, None]
+    hazard = np.cumsum(np.bincount(risk_start, d_count / s0_t, xs.shape[0]))
 
     ll = float(eta[ds].sum() - (d_count * np.log(s0_t)).sum())
     score = xs[ds].sum(axis=0) - (d_count[:, None] * mean_t).sum(axis=0)
-    info = (
-        (d_count[:, None, None] * (s2_t / s0_t[:, None, None])).sum(axis=0)
-        - (d_count[:, None, None] * (mean_t[:, :, None] * mean_t[:, None, :])).sum(axis=0)
-    )
+    info = (xs * (w * hazard)[:, None]).T @ xs - (mean_t * d_count[:, None]).T @ mean_t
     return ll, score, info
 
 

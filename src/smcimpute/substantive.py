@@ -110,8 +110,9 @@ def log_ratio_cox(cumhaz, event, g):
     g = np.asarray(g, dtype=float)
     if np.any((event == 1.0) & (cumhaz <= 0.0)):
         raise FitError("event at zero cumulative hazard")
-    with np.errstate(over="ignore"):
-        heg = cumhaz * np.exp(g)
+    # a row at zero cumulative hazard contributes 0 even where exp(g) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        heg = np.where(cumhaz == 0.0, 0.0, cumhaz * np.exp(g))
     censored_part = -heg
     with np.errstate(divide="ignore"):
         event_part = 1.0 + g - heg + np.log(np.where(cumhaz > 0, cumhaz, 1.0))

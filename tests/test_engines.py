@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -354,6 +356,22 @@ def test_rejection_raises_fit_error_for_an_event_at_zero_cumulative_hazard():
         _reject_sample_one_cell_each("cox", parse_formula("surv(t,d) ~ x"), psi, cur)
 
 
+def test_rejection_accepts_censored_rows_at_zero_hazard_whatever_the_predictor():
+    # censored rows before the first knot have log ratio 0, even where exp(g) overflows
+    psi = SubstantiveParams(family="cox", beta=np.array([1.0]),
+                            baseline=StepCumHazard(knots=[5.0], cumvals=[0.3]))
+    cur = {"x": np.zeros(3), "t": np.array([1.0, 2.0, 3.0]), "d": np.zeros(3)}
+    spec = CovariateModelSpec("x", "normal_linear", predictors=())
+    phi = CovariateParams(beta=np.array([800.0]), sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, _, fallbacks = smc_reject_sample(
+            "cox", parse_formula("surv(t,d) ~ x"), psi, spec, phi, cur, np.arange(3),
+            np.random.default_rng(5), 64)
+    assert fallbacks == 0
+    assert np.all(np.abs(values - 800.0) < 10.0)
+
+
 def test_rejection_raises_fit_error_for_a_zero_outcome_variance():
     psi = SubstantiveParams(family="normal_linear", beta=np.array([0.0, 1.0]), sigma2=0.0)
     cur = {"x": np.zeros(4), "y": np.ones(4)}
@@ -419,6 +437,18 @@ def test_spec_family_must_match_kind():
 def test_smcfcs_requires_substantive():
     with pytest.raises(ValueError):
         EngineConfig(method="smcfcs", m=2)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0"),
+    (1.5, "seed must be an integer, not 1.5"),
+    (True, "seed must be an integer, not True"),
+])
+def test_engine_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EngineConfig(method="fcs", seed=seed)
+    # a numpy integer is an integer
+    assert EngineConfig(method="fcs", seed=np.int64(3)).seed == 3
 
 
 def test_persistent_fit_failure_aborts():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -205,6 +208,16 @@ def test_cox_monotone_likelihood_raises_divergence():
     message = r"^monotone partial likelihood \(diverging linear predictor\)$"
     with pytest.raises(FitError, match=message):
         fit_cox(x[:, None], 10.0 - x, np.ones(8))
+
+
+def test_cox_monotone_likelihood_far_from_zero_raises_divergence():
+    # the steps drive the linear predictor to its clip of 700, where w x x'
+    # would pass the largest double; the kernel weights x x' by w times the
+    # cumulative hazard, which stays moderate
+    x = np.arange(8.0)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FitError, match="^monotone partial likelihood"):
+            fit_cox(x[:, None] + 1000.0, 10.0 - x, np.ones(8))
 
 
 def test_glm_posterior_draw_requires_convergence():
@@ -443,6 +456,92 @@ def test_cox_prepared_layout_gives_bit_identical_results():
     beta_star = multivariate_normal_draw(prepared.beta, prepared.covariance, rng0(17))
     same(a[0], beta_star)
     same(a[1].cumvals, breslow_baseline(X, time, event, beta_star).cumvals)
+
+
+def _cox_terms_reference(xs, layout, beta):
+    """The kernel's information as a sum over event times of per-row (k, k)
+    risk-set sums, the form the weighted Gram matrix replaced."""
+    ds, risk_start, d_count = layout.ds, layout.risk_start, layout.d_count
+    eta, w, s0 = fitters._risk_set_sums(xs, beta)
+    s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1]
+    s2 = np.cumsum((w[:, None, None] * (xs[:, :, None] * xs[:, None, :]))[::-1], axis=0)[::-1]
+
+    s0_t = s0[risk_start]
+    s1_t = s1[risk_start]
+    s2_t = s2[risk_start]
+    mean_t = s1_t / s0_t[:, None]
+
+    ll = float(eta[ds].sum() - (d_count * np.log(s0_t)).sum())
+    score = xs[ds].sum(axis=0) - (d_count[:, None] * mean_t).sum(axis=0)
+    info = (
+        (d_count[:, None, None] * (s2_t / s0_t[:, None, None])).sum(axis=0)
+        - (d_count[:, None, None] * (mean_t[:, :, None] * mean_t[:, None, :])).sum(axis=0)
+    )
+    return ll, score, info
+
+
+@pytest.mark.parametrize("n", [3, 4, 11, 60, 1000, 10_000])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cox_kernel_matches_the_risk_set_reference(n, k):
+    rng = rng0(1000 * n + k)
+    for _ in range(5):
+        X = rng.normal(size=(n, k)) * rng.uniform(0.2, 3.0, size=k)
+        time = np.round(rng.exponential(1.0, n), 1) + 0.1  # many tied times
+        event = (rng.random(n) < 0.7).astype(float)
+        event[rng.integers(n)] = 1.0
+        layout = cox_layout(time, event)
+        xs = X[layout.order]
+        beta = rng.normal(0.0, 0.5, size=k)
+        ll, score, info = fitters._cox_terms(xs, layout, beta)
+        ref_ll, ref_score, ref_info = _cox_terms_reference(xs, layout, beta)
+        assert ll == ref_ll
+        assert score.tobytes() == ref_score.tobytes()
+        # each S2_t / S0_t is a weighted mean of x x', so the information is a
+        # difference of terms of size up to (events) * max x^2; that bounds the
+        # rounding of the difference, where the information itself may be 0
+        scale = layout.d_count.sum() * np.abs(xs).max() ** 2
+        np.testing.assert_allclose(info, ref_info, rtol=1e-10, atol=1e-10 * scale)
+
+
+def _blas_is_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower()
+
+
+# the fit, and the kernel at its MLE and at two other points: the
+# log-likelihood only decides step halving, so a thread-dependent ll need not
+# move the fit's own bytes, and one point may round alike by chance
+BLAS_THREADS_FIT = """
+import sys
+import numpy as np
+from smcimpute.fitters import cox_loglik, fit_cox
+from smcimpute.simlab import gen_cox
+
+d = gen_cox(100_000, np.random.default_rng(3))
+X = np.column_stack([d.column("x1").values, d.column("x2").values])
+time, event = d.column("w").values, d.column("d").values
+fit = fit_cox(X, time, event)
+sys.stdout.write(fit.beta.tobytes().hex() + " " + fit.covariance.tobytes().hex())
+for beta in (fit.beta, np.array([0.9, 1.1]), np.array([0.5, -0.5])):
+    ll, score, info = cox_loglik(X, time, event, beta)
+    sys.stdout.write(" " + np.float64(ll).tobytes().hex() + score.tobytes().hex()
+                     + info.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_cox_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(fitters.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        outputs.append(subprocess.run([sys.executable, "-c", BLAS_THREADS_FIT], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

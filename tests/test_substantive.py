@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.fitters import FitError, StepCumHazard
 from smcimpute.formula import design_from_arrays, design_matrix, parse_formula, response_arrays
-from smcimpute.substantive import FAMILIES, SubstantiveParams
+from smcimpute.substantive import FAMILIES, SubstantiveParams, log_ratio_cox
 
 # one-coefficient outcome models: the linear predictor is beta * x
 FORMULAS = {
@@ -119,6 +120,13 @@ def test_cox_event_rejects_zero_hazard():
     p = cox_params([1.0], [5.0], [0.3])
     with pytest.raises(FitError, match="event at zero cumulative hazard"):
         ratio(p, 0.0, t=1.0, d=1)  # before the first knot
+
+
+def test_cox_censored_row_at_zero_hazard_has_log_ratio_zero_where_exp_g_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_ratio_cox([0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [800.0, 1.0, 1.0])
+    assert out.tolist() == [0.0, -0.5 * np.exp(1.0), 0.0]
 
 
 def test_normal_ratio_maximized_at_y_equals_g():
