@@ -40,7 +40,7 @@ from .engines import (
     run_fcs,
     run_smcfcs,
 )
-from .fitters import FitError
+from .fitters import FitError, run_lengths
 from .formula import FormulaError, parse_formula
 from .pooling import PoolError, fit_each, pool
 from .substantive import CovariateModelSpec, outcome_family
@@ -164,7 +164,8 @@ def _read_long_csv(path, schema):
         order = np.argsort(imp, kind="stable")
         imp = imp[order]
         columns = [values[order] for values in columns]
-    labels, starts, counts = np.unique(imp, return_index=True, return_counts=True)
+    starts, counts = run_lengths(imp)
+    labels = imp[starts]
     if counts.size and counts.min() != counts.max():
         _fail("--data", f"imputations differ in length: _imp {labels[counts.argmin()]:.0f} "
                         f"has {counts.min()} rows, _imp {labels[counts.argmax()]:.0f} "

@@ -9,10 +9,13 @@ regression) is declared when the standard deviation of the linear predictor
 X beta across the rows exceeds 30, which does not depend on where a covariate
 sits or on the intercept.  Every fit failure, divergence and 50 iterations
 without convergence included, raises FitError with the fit's own message.
-Both return a NewtonFit.  A Cox fit sorts its design by time once, and each
-step runs the kernel that cox_loglik also calls.  The kernel forms the
-information from one weighted Gram matrix, X' diag(w L) X with L the Breslow
-cumulative hazard at each row, in O(nk) memory rather than O(nk^2).
+Both return a NewtonFit.  A Cox risk-set layout sorts the times once; the
+distinct event times and their tie counts are run lengths of the event times
+in that order, so no second sort runs.  A Cox fit orders its design by the
+layout once, and each step runs the kernel that cox_loglik also calls.  The
+kernel forms the information from one weighted Gram matrix, X' diag(w L) X
+with L the Breslow cumulative hazard at each row, in O(nk) memory rather
+than O(nk^2).
 
 Every symmetric positive-definite solve (normal equations, Newton step,
 inverse information) goes through one numpy Cholesky factorization, as does
@@ -38,6 +41,7 @@ __all__ = [
     "draw_linear_posterior",
     "fit_logistic",
     "draw_glm_posterior",
+    "run_lengths",
     "cox_layout",
     "fit_cox",
     "breslow_baseline",
@@ -286,25 +290,38 @@ class CoxLayout:
     d_count: np.ndarray  # events per distinct event time
 
 
+def run_lengths(values):
+    """Start index and length of each run of equal values in a sorted 1-d array."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(np.append(starts, values.size))
+
+
 def cox_layout(time, event) -> CoxLayout:
     """Sort the response by time and index the risk set of each event time.
 
-    FitError for a time <= 0.  This is the only check of the survival times:
-    every Cox fit, Breslow baseline and Nelson-Aalen estimate runs on a layout.
+    The times are sorted once: the distinct event times and their tie counts
+    are the runs of equal values among the event times in time order.
+    FitError for a time that is not > 0 (NaN included) and for an event that
+    is not 0 or 1.  This is the only check of the survival response: every
+    Cox fit, Breslow baseline and Nelson-Aalen estimate runs on a layout.
     """
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=float)
-    if np.any(time <= 0):
+    if not np.all(time > 0):
         raise FitError("survival times must be strictly positive")
+    if not np.all((event == 0) | (event == 1)):
+        raise FitError("event indicators must be 0 or 1")
     order = np.argsort(time, kind="stable")
     ts = time[order]
     ds = event[order].astype(bool)
-    ev_times = np.unique(ts[ds])
+    events = ts[ds]
+    starts, ties = run_lengths(events)
+    ev_times = events[starts]
     risk_start = np.searchsorted(ts, ev_times, side="left")
-    d_count = np.bincount(
-        np.searchsorted(ev_times, ts[ds]), minlength=ev_times.size
-    ).astype(float)
-    return CoxLayout(time, event, order, ds, ev_times, risk_start, d_count)
+    return CoxLayout(time, event, order, ds, ev_times, risk_start, ties.astype(float))
 
 
 def _risk_set_sums(xs, beta):

@@ -411,6 +411,44 @@ def test_long_csv_blocks_come_in_ascending_imp_order(tmp_path):
     assert list(second.column("x").values) == [20.0, 21.0]
 
 
+def test_long_csv_splits_unsorted_blocks_with_gaps_in_imp(tmp_path):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n7,70.0,1.0\n3,30.0,2.0\n7,71.0,3.0\n"
+                    "3,31.0,4.0\n7,72.0,5.0\n3,32.0,6.0\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    first, second = _read_long_csv(data, read_schema(schema))
+    assert first.column("x").values.tolist() == [30.0, 31.0, 32.0]
+    assert first.column("y").values.tolist() == [2.0, 4.0, 6.0]
+    assert second.column("x").values.tolist() == [70.0, 71.0, 72.0]
+    assert second.column("y").values.tolist() == [1.0, 3.0, 5.0]
+
+
+def test_long_csv_unequal_unsorted_blocks_name_the_shortest_and_longest(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n7,0.0,1.0\n1,0.0,1.0\n3,0.0,1.0\n7,1.0,2.0\n"
+                    "1,1.0,2.0\n7,2.0,3.0\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                "--smodel", "y ~ x", "--out", tmp_path / "pooled.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --data: imputations differ in length: _imp 3 has 1 rows, _imp 7 has 3\n")
+
+
+def test_long_csv_with_only_a_header_has_no_imputations(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("_imp,x,y\n")
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    assert _read_long_csv(data, read_schema(schema)) == []
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                "--smodel", "y ~ x", "--out", tmp_path / "pooled.csv"])
+    assert code == 2
+    assert "pooling needs at least 2 imputations" in capsys.readouterr().err
+
+
 BOM = b"\xef\xbb\xbf"
 
 

@@ -363,7 +363,7 @@ def test_breslow_jumps_track_riskset_denominators():
         assert jump == pytest.approx(d_t / denom, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 def test_cox_layout_rejects_a_time_that_is_not_positive(bad):
     time, event = np.array([1.0, bad, 2.0]), np.array([1.0, 0.0, 1.0])
     message = "^survival times must be strictly positive$"
@@ -376,6 +376,56 @@ def test_cox_layout_rejects_a_time_that_is_not_positive(bad):
         nelson_aalen(time, event)
     with pytest.raises(FitError, match=message):
         breslow_baseline(np.zeros((3, 0)), time, event, np.zeros(0))
+
+
+@pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+def test_cox_layout_rejects_an_event_that_is_not_0_or_1(bad):
+    time, event = np.array([1.0, 3.0, 2.0]), np.array([1.0, bad, 0.0])
+    message = "^event indicators must be 0 or 1$"
+    with pytest.raises(FitError, match=message):
+        cox_layout(time, event)
+    with pytest.raises(FitError, match=message):
+        fit_cox(np.array([[0.1], [0.2], [0.4]]), time, event)
+    with pytest.raises(FitError, match=message):
+        nelson_aalen(time, event)
+
+
+def _cox_layout_reference(time, event):
+    """Distinct event times, risk-set starts and tie counts as np.unique,
+    searchsorted and bincount build them, the form the run lengths replaced."""
+    order = np.argsort(time, kind="stable")
+    ts = time[order]
+    ds = event[order].astype(bool)
+    ev_times = np.unique(ts[ds])
+    risk_start = np.searchsorted(ts, ev_times, side="left")
+    d_count = np.bincount(
+        np.searchsorted(ev_times, ts[ds]), minlength=ev_times.size
+    ).astype(float)
+    return ev_times, risk_start, d_count
+
+
+def _cox_layout_cases():
+    rng = rng0(23)
+    for n in (1, 2, 3, 1000):
+        untied = rng.exponential(1.0, n) + 0.01
+        tied = np.round(rng.exponential(1.0, n), 1) + 0.1
+        for time in (untied, tied, np.full(n, 2.5)):
+            yield time, (rng.random(n) < 0.6).astype(float)  # some events
+            yield time, np.zeros(n)  # no events
+            yield time, np.ones(n)  # all events
+            one = np.zeros(n)
+            one[rng.integers(n)] = 1.0
+            yield time, one  # one event
+    yield np.empty(0), np.empty(0)
+
+
+def test_cox_layout_matches_the_unique_reference_bit_for_bit():
+    for time, event in _cox_layout_cases():
+        layout = cox_layout(time, event)
+        got = (layout.ev_times, layout.risk_start, layout.d_count)
+        for a, b in zip(got, _cox_layout_reference(time, event)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_nelson_aalen_all_censored():
