@@ -58,7 +58,7 @@ def _fail(flag: str, message: str):
     raise CliError(f"{flag}: {message}")
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
     """Reports usage errors as CliError instead of exiting."""
 
     def error(self, message):
@@ -309,7 +309,7 @@ def cmd_simulate(args) -> int:
 # parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = _ArgumentParser(
         prog="smcimpute",
         description="Multiple imputation of partially observed regression covariates",
     )

@@ -87,7 +87,7 @@ class EngineConfig:
     method: str  # "fcs" | "smcfcs"
     m: int = 10
     iterations: int | None = None  # default: 10 for fcs, 20 for smcfcs
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0  # an int seeds the stream (seed, "engine")
     substantive: tuple[str, ModelFormula] | None = None  # (family, formula), smcfcs only
     covariate_specs: tuple[CovariateModelSpec, ...] = ()
 
@@ -96,10 +96,11 @@ class EngineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, not {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not isinstance(self.seed, np.random.SeedSequence):
+            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+                raise ValueError(f"seed must be an integer, not {self.seed!r}")
+            if self.seed < 0:
+                raise ValueError("seed must be >= 0")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.method == "smcfcs":
@@ -152,10 +153,6 @@ class Diagnostics:
 class ImputationResult:
     datasets: tuple[Dataset, ...]
     diagnostics: Diagnostics
-
-    @property
-    def m(self) -> int:
-        return len(self.datasets)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +495,10 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
 # ---------------------------------------------------------------------------
 # engine driver
 
-def _run_engine(d: Dataset, config: EngineConfig, rng, sweep_fn) -> ImputationResult:
+def _run_engine(d: Dataset, config: EngineConfig, sweep_fn) -> ImputationResult:
     ctx = _build_context(d, config)
-    base = rng if rng is not None else subsequence(config.seed, "engine")
+    seed = config.seed
+    base = seed if isinstance(seed, np.random.SeedSequence) else subsequence(seed, "engine")
     diag = Diagnostics()
     datasets = []
     for imp in range(1, config.m + 1):
@@ -530,15 +528,15 @@ def _run_engine(d: Dataset, config: EngineConfig, rng, sweep_fn) -> ImputationRe
     return ImputationResult(datasets=tuple(datasets), diagnostics=diag)
 
 
-def run_fcs(d: Dataset, config: EngineConfig, rng=None) -> ImputationResult:
+def run_fcs(d: Dataset, config: EngineConfig) -> ImputationResult:
     """Standard chained-equations imputation."""
     if config.method != "fcs":
         raise ValueError("config.method must be 'fcs'")
-    return _run_engine(d, config, rng, _fcs_sweep)
+    return _run_engine(d, config, _fcs_sweep)
 
 
-def run_smcfcs(d: Dataset, config: EngineConfig, rng=None) -> ImputationResult:
+def run_smcfcs(d: Dataset, config: EngineConfig) -> ImputationResult:
     """Substantive-model-compatible chained-equations imputation."""
     if config.method != "smcfcs":
         raise ValueError("config.method must be 'smcfcs'")
-    return _run_engine(d, config, rng, _smcfcs_sweep)
+    return _run_engine(d, config, _smcfcs_sweep)

@@ -259,9 +259,10 @@ class StepCumHazard:
         if knots.shape != cumvals.shape or knots.ndim != 1:
             raise ValueError("knots and cumvals must be 1-d arrays of equal length")
         if knots.size:
-            if np.any(np.diff(knots) <= 0):
+            # NaN compares false, so it is rejected on its own; an inf knot is kept
+            if np.any(np.isnan(knots)) or np.any(np.diff(knots) <= 0):
                 raise ValueError("knots must be strictly ascending")
-            if np.any(np.diff(cumvals) < 0) or cumvals[0] < 0:
+            if np.any(np.isnan(cumvals)) or np.any(np.diff(cumvals) < 0) or cumvals[0] < 0:
                 raise ValueError("cumulative hazard must be nonnegative and nondecreasing")
 
     def __call__(self, t) -> np.ndarray:

@@ -10,6 +10,12 @@ Grammar (whitespace-insensitive):
 A bare "1" turns the intercept on explicitly, "-1" removes it.  Repeated
 variables inside a term are consolidated by summing powers (x*x == x^2), and
 factors are kept in alphabetical order so equal terms compare equal.
+
+`parse_formula` is the one parser: it reads the tokens with one regular
+expression, whose last alternative catches any character that starts no
+token, then walks them once.  A formula is the one statement of a model:
+the engines, pooling and the CLI fit it, and the simulation lab generates
+its data from it.
 """
 
 from __future__ import annotations
@@ -114,128 +120,79 @@ class ModelFormula:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>\d+)|(?P<op>[~+\-*^(),]))"
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>\d+)|(?P<op>[~+\-*^(),])|(?P<unknown>\S))"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaError(f"unknown token {stripped[0]!r} at position {at}")
-        if match.lastgroup is None:
-            break
-        tokens.append((match.lastgroup, match.group(match.lastgroup), match.start(match.lastgroup)))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self, kind=None, value=None):
-        tok_kind, tok_value, tok_pos = self.peek()
-        if tok_kind is None:
-            raise FormulaError(f"unexpected end of formula at position {tok_pos}")
-        if kind is not None and tok_kind != kind or value is not None and tok_value != value:
-            raise FormulaError(
-                f"unexpected token {tok_value!r} at position {tok_pos}"
-            )
-        self.i += 1
-        return tok_value
-
-    def at_op(self, value) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "op" and val == value
-
-    def parse(self) -> ModelFormula:
-        response = self._response()
-        self.take("op", "~")
-        terms: list[Term] = []
-        intercept_flag: bool | None = None
-        while True:
-            if self.at_op("-"):
-                self.take()
-                tok_kind, tok_value, tok_pos = self.peek()
-                if tok_kind != "int" or tok_value != "1":
-                    raise FormulaError(f"'-' only allowed before 1, at position {tok_pos}")
-                self.take()
-                intercept_flag = False
-            else:
-                kind, val, pos = self.peek()
-                if kind == "int":
-                    if val != "1":
-                        raise FormulaError(f"bare integer {val} at position {pos}; only 1 allowed")
-                    self.take()
-                    intercept_flag = True
-                else:
-                    terms.append(self._term())
-            if self.at_op("+"):
-                self.take()
-                continue
-            if self.at_op("-"):
-                continue  # "- 1" handled at the top of the loop
-            break
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise FormulaError(f"unexpected token {val!r} at position {pos}")
-        survival = isinstance(response, tuple)
-        if survival:
-            if intercept_flag:
-                raise FormulaError("a survival formula cannot carry an intercept")
-            intercept = False
-        else:
-            intercept = True if intercept_flag is None else intercept_flag
-        return ModelFormula(response=response, terms=tuple(terms), intercept=intercept)
-
-    def _response(self):
-        name = self.take("ident")
-        if name == "surv" and self.at_op("("):
-            self.take()
-            time_name = self.take("ident")
-            self.take("op", ",")
-            event_name = self.take("ident")
-            self.take("op", ")")
-            return (time_name, event_name)
-        return name
-
-    def _term(self) -> Term:
-        factors = [self._factor()]
-        while self.at_op("*"):
-            self.take()
-            factors.append(self._factor())
-        return Term(tuple(factors))
-
-    def _factor(self) -> tuple[str, int]:
-        name = self.take("ident")
-        if self.at_op("^"):
-            self.take()
-            kind, val, pos = self.peek()
-            if kind != "int":
-                raise FormulaError(f"expected integer power at position {pos}")
-            self.take()
-            power = int(val)
-            if power == 0:
-                raise FormulaError(f"power 0 not allowed at position {pos}")
-            return (name, power)
-        return (name, 1)
 
 
 def parse_formula(text: str) -> ModelFormula:
     """Parse a formula string; raises FormulaError with a position on bad input."""
-    return _Parser(text).parse()
+    # (kind, text, position); an operator's kind is the operator itself
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value, pos = match[kind], match.start(kind)
+        if kind == "unknown":
+            raise FormulaError(f"unknown token {value!r} at position {pos}")
+        tokens.append((value if kind == "op" else kind, value, pos))
+    tokens.append((None, None, len(text)))
+    i = 0
+
+    def take(kind):
+        nonlocal i
+        tok_kind, value, pos = tokens[i]
+        if tok_kind is None:
+            raise FormulaError(f"unexpected end of formula at position {pos}")
+        if tok_kind != kind:
+            raise FormulaError(f"unexpected token {value!r} at position {pos}")
+        i += 1
+        return value
+
+    response = take("ident")
+    if response == "surv" and tokens[i][0] == "(":
+        _, time_name, _, event_name, _ = [take(k) for k in ("(", "ident", ",", "ident", ")")]
+        response = (time_name, event_name)
+    take("~")
+    terms: list[Term] = []
+    intercept_flag: bool | None = None
+    while True:
+        kind, value, pos = tokens[i]
+        if kind == "-":
+            kind, value, pos = tokens[i + 1]
+            if (kind, value) != ("int", "1"):
+                raise FormulaError(f"'-' only allowed before 1, at position {pos}")
+            i, intercept_flag = i + 2, False
+        elif kind == "int":
+            if value != "1":
+                raise FormulaError(f"bare integer {value} at position {pos}; only 1 allowed")
+            i, intercept_flag = i + 1, True
+        else:  # factor ("*" factor)*
+            factors = []
+            while True:
+                name, power = take("ident"), 1
+                if tokens[i][0] == "^":
+                    kind, value, pos = tokens[i + 1]
+                    if kind != "int":
+                        raise FormulaError(f"expected integer power at position {pos}")
+                    i, power = i + 2, int(value)
+                    if power == 0:
+                        raise FormulaError(f"power 0 not allowed at position {pos}")
+                factors.append((name, power))
+                if tokens[i][0] != "*":
+                    break
+                i += 1
+            terms.append(Term(tuple(factors)))
+        if tokens[i][0] == "+":
+            i += 1
+        elif tokens[i][0] != "-":  # "- 1" is read at the top of the loop
+            break
+    kind, value, pos = tokens[i]
+    if kind is not None:
+        raise FormulaError(f"unexpected token {value!r} at position {pos}")
+    survival = isinstance(response, tuple)
+    if survival and intercept_flag:
+        raise FormulaError("a survival formula cannot carry an intercept")
+    intercept = not survival and intercept_flag is not False
+    return ModelFormula(response=response, terms=tuple(terms), intercept=intercept)
 
 
 def term_column_name(t: Term) -> str:

@@ -3,12 +3,15 @@
 Each study design is one `Study` record in STUDIES, so a new design or
 covariate distribution is one table entry.  A record holds the outcome model
 (family, formula, true coefficients), a table from covariate distribution
-(a scenario's `variant`) to covariate draw, the linear predictor and the
-outcome draw, the missingness mechanisms and methods the design allows, the
-covariate models of chained-equations imputation, the design's builtin
+(a scenario's `variant`) to covariate draw, the methods the design allows,
+the covariate models of chained-equations imputation, the design's builtin
 scenarios and the coefficients scripts/run_study_tables.py reports for them.
-The methods cc, fcs_linear, jav and smcfcs are the table METHODS.  Three
-designs are registered:
+Data are generated from the model the study analyses: the linear predictor
+is the formula's right-hand side at the true coefficients, and the family
+picks the outcome draw and the missingness mechanisms (missing at random is
+defined through the outcome y, so a survival study has MCAR only).  The
+methods cc, fcs_linear, jav and smcfcs are the table METHODS.  Three designs
+are registered:
 
   quadratic     y = 4 - 4x + x^2 + e, x from a normal, log-normal, or
                 two-component normal mixture, all with mean 2 and variance 1
@@ -139,7 +142,8 @@ def _bern_lognormal(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# outcome draws: (dgp, variant, linear predictor, rng) -> the outcome columns
+# outcome draws by family: (dgp, variant, linear predictor, rng) -> the
+# outcome columns
 
 def _normal_outcome(dgp, variant, eta, rng):
     """y = eta + e, with Var(e) the design's residual variance."""
@@ -154,6 +158,9 @@ def _cox_outcome(dgp, variant, eta, rng):
     c = exp_hazard_times(np.zeros(eta.shape[0]), COX_BASE_RATE, rng)
     return (_column("w", np.minimum(t, c), role=VariableRole.TIME),
             _column("d", (t < c).astype(float), VariableKind.BINARY, VariableRole.EVENT))
+
+
+_OUTCOMES = {"normal_linear": _normal_outcome, "cox": _cox_outcome}
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +190,22 @@ def _fcs_linear(cfg, family, formula, d, seq):
     """Chained equations with the study's covariate models."""
     specs = tuple(CovariateModelSpec.from_formula(parse_formula(text), d)
                   for text in STUDIES[cfg.dgp].fcs_models)
-    config = EngineConfig(method="fcs", m=cfg.m, covariate_specs=specs)
-    return _pooled(run_fcs(d, config, rng=seq), family, formula)
+    config = EngineConfig(method="fcs", m=cfg.m, seed=seq, covariate_specs=specs)
+    return _pooled(run_fcs(d, config), family, formula)
 
 
 def _jav(cfg, family, formula, d, seq):
     """Chained equations on the outcome model's terms as free-standing columns."""
     dj = jav_dataset(formula, d)
-    config = EngineConfig(method="fcs", m=cfg.m,
+    config = EngineConfig(method="fcs", m=cfg.m, seed=seq,
                           covariate_specs=default_covariate_specs(dj, "fcs"))
-    return _pooled(run_fcs(dj, config, rng=seq), family, jav_analysis_formula(formula))
+    return _pooled(run_fcs(dj, config), family, jav_analysis_formula(formula))
 
 
 def _smcfcs(cfg, family, formula, d, seq):
-    config = EngineConfig(method="smcfcs", m=cfg.m, substantive=(family, formula),
+    config = EngineConfig(method="smcfcs", m=cfg.m, seed=seq, substantive=(family, formula),
                           covariate_specs=default_covariate_specs(d, "smcfcs"))
-    return _pooled(run_smcfcs(d, config, rng=seq), family, formula)
+    return _pooled(run_smcfcs(d, config), family, formula)
 
 
 METHODS = {
@@ -220,9 +227,6 @@ class Study:
     formula: str  # outcome model
     beta: tuple[float, ...]  # true coefficients
     draws: dict[str | None, Callable]  # variant -> covariate draw
-    linpred: Callable  # (beta, *covariate values) -> linear predictor
-    outcome: Callable  # outcome draw
-    mechanisms: tuple[str, ...]
     methods: tuple[str, ...]
     fcs_models: tuple[str, ...]  # fcs_linear's covariate models, "target ~ predictors"
     reported: tuple[str, ...]  # coefficients scripts/run_study_tables.py prints
@@ -242,9 +246,7 @@ STUDIES = {
     "quadratic": Study(
         family="normal_linear", formula="y ~ x + x^2", beta=(4.0, -4.0, 1.0),
         draws={"normal": _normal_x, "lognormal": _lognormal_x, "normal_mixture": _mixture_x},
-        linpred=lambda b, x: b[0] + b[1] * x + b[2] * x * x,
-        outcome=_normal_outcome, mechanisms=("mcar", "mar"), methods=tuple(METHODS),
-        fcs_models=("x ~ y",), reported=("x^2",),
+        methods=tuple(METHODS), fcs_models=("x ~ y",), reported=("x^2",),
         builtins=_grid("quad", {"normal": "normal", "lognormal": "lognormal",
                                 "mixture": "normal_mixture"},
                        methods=("fcs_linear", "jav", "smcfcs")),
@@ -254,9 +256,8 @@ STUDIES = {
         draws={"bvnormal": _bvnormal, "bvlognormal": _bvlognormal,
                "quad_conditional": _quad_conditional, "bern_normal": _bern_normal,
                "bern_lognormal": _bern_lognormal},
-        linpred=lambda b, x1, x2: b[0] + b[1] * x1 + b[2] * x2 + b[3] * x1 * x2,
-        outcome=_normal_outcome, mechanisms=("mcar", "mar"), methods=tuple(METHODS),
-        fcs_models=("x1 ~ y + x2 + y*x2", "x2 ~ y + x1 + y*x1"), reported=("x1", "x1*x2"),
+        methods=tuple(METHODS), fcs_models=("x1 ~ y + x2 + y*x2", "x2 ~ y + x1 + y*x1"),
+        reported=("x1", "x1*x2"),
         builtins=_grid("interact", {"bvnormal": "bvnormal", "bvlognormal": "bvlognormal",
                                     "quadcond": "quad_conditional",
                                     "bernnormal": "bern_normal",
@@ -264,9 +265,7 @@ STUDIES = {
     ),
     "cox": Study(
         family="cox", formula="surv(w,d) ~ x1 + x2", beta=(1.0, 1.0),
-        draws={None: _bern_normal},
-        linpred=lambda b, x1, x2: b[0] * x1 + b[1] * x2,
-        outcome=_cox_outcome, mechanisms=("mcar",), methods=("cc", "fcs_linear", "smcfcs"),
+        draws={None: _bern_normal}, methods=("cc", "fcs_linear", "smcfcs"),
         fcs_models=(f"x1 ~ x2 + d + {CUMHAZ}", f"x2 ~ x1 + d + {CUMHAZ}"),
         reported=("x1", "x2"),
         builtins={f"cox-n{n}": dict(variant=None, mechanism="mcar", n=n) for n in (1000, 100)},
@@ -274,14 +273,26 @@ STUDIES = {
 }
 
 
+def _mechanisms(study: Study) -> tuple[str, ...]:
+    """Missing at random is defined through the outcome y, which a survival study lacks."""
+    return ("mcar",) if FAMILIES[study.family].survival else ("mcar", "mar")
+
+
 def _draw_linpred(dgp, variant, n: int, rng):
     """n draws of a study's partial-covariate columns from its covariate
-    distribution `variant`, and their linear predictor."""
+    distribution `variant`, and their linear predictor: the right-hand side
+    of the study's formula at its true coefficients."""
     study = STUDIES.get(dgp)
     if study is None or variant not in study.draws:
         raise ValueError(f"unknown {dgp} covariate distribution {variant!r}")
     covariates = study.draws[variant](n, rng)
-    return covariates, study.linpred(study.beta, *(c.values for c in covariates))
+    formula, beta = parse_formula(study.formula), iter(study.beta)
+    cols = {c.name: c.values for c in covariates}
+    # term by term, not design_from_arrays(...) @ beta, whose rounding would move every draw
+    eta = next(beta) if formula.intercept else 0.0
+    for term in formula.terms:
+        eta = eta + next(beta) * term.evaluate(cols)
+    return covariates, eta
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +335,7 @@ def residual_variance(dgp: str, variant: str) -> float:
 def _residual_variance_mc(dgp: str, variant: str) -> float:
     """Var(g(X)) over 10^6 draws from the calibration stream."""
     study = STUDIES.get(dgp)
-    if study is None or study.outcome is not _normal_outcome:
+    if study is None or study.family != "normal_linear":
         raise ValueError(f"no residual variance for dgp {dgp!r}")
     rng = stream(CALIBRATION_SEED, "sigma", dgp, variant)
     _, g = _draw_linpred(dgp, variant, CALIBRATION_DRAWS, rng)
@@ -377,7 +388,7 @@ def mar_intercept(dgp: str, variant: str, target_p: float) -> tuple[float, float
 def _mar_intercept_mc(dgp: str, variant: str, target_p: float) -> tuple[float, float]:
     """mar_intercept from a 10^6-draw sample of the calibration stream."""
     study = STUDIES.get(dgp)
-    if study is None or "mar" not in study.mechanisms:
+    if study is None or "mar" not in _mechanisms(study):
         raise ValueError("the missing-at-random mechanism is defined through the outcome y")
     rng = stream(CALIBRATION_SEED, "mar", dgp, variant)
     y = _generate(dgp, variant, CALIBRATION_DRAWS, rng).column("y").values
@@ -391,7 +402,7 @@ def _mar_intercept_mc(dgp: str, variant: str, target_p: float) -> tuple[float, f
 def _generate(dgp, variant, n: int, rng) -> Dataset:
     """n draws of a study's covariates, then of its outcome given them."""
     covariates, eta = _draw_linpred(dgp, variant, n, rng)
-    return Dataset(covariates + STUDIES[dgp].outcome(dgp, variant, eta, rng))
+    return Dataset(covariates + _OUTCOMES[STUDIES[dgp].family](dgp, variant, eta, rng))
 
 
 def gen_quadratic(x_dist: str, n: int, rng) -> Dataset:
@@ -469,7 +480,7 @@ class ScenarioConfig:
         study = STUDIES.get(self.dgp)
         if study is None:
             raise ValueError(f"unknown dgp {self.dgp!r}")
-        for name, allowed in (("variant", tuple(study.draws)), ("mechanism", study.mechanisms)):
+        for name, allowed in (("variant", tuple(study.draws)), ("mechanism", _mechanisms(study))):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(map(repr, allowed))} "

@@ -90,7 +90,9 @@ def log_ratio_normal(y, g, sigma2):
     if sigma2 <= 0:
         raise FitError("sigma2 must be positive")
     resid = np.asarray(y, dtype=float) - np.asarray(g, dtype=float)
-    return -(resid * resid) / (2.0 * sigma2)
+    # a subnormal sigma2 gives -inf, which the samplers reject with FitError
+    with np.errstate(over="ignore"):
+        return -(resid * resid) / (2.0 * sigma2)
 
 
 def log_ratio_discrete(y, g):

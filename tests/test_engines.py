@@ -115,7 +115,7 @@ def test_fcs_zero_missing_returns_copies():
                        covariate_specs=(CovariateModelSpec(
                            "x", "normal_linear", predictors=(Term((("y", 1),)),)),))
     result = run_fcs(d, cfg)
-    assert result.m == 3
+    assert len(result.datasets) == 3
     for imp in result.datasets:
         np.testing.assert_array_equal(imp.column("x").values, x)
 
@@ -451,6 +451,16 @@ def test_engine_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed, m
     assert EngineConfig(method="fcs", seed=np.int64(3)).seed == 3
 
 
+def test_an_integer_seed_roots_the_engine_stream_a_seed_sequence_is_the_root():
+    from smcimpute.rng import subsequence
+
+    d = quadratic_data(seed=3)
+    by_int = run_smcfcs(d, smcfcs_quadratic_config(m=2, seed=7))
+    by_seq = run_smcfcs(d, smcfcs_quadratic_config(m=2, seed=subsequence(7, "engine")))
+    for a, b in zip(by_int.datasets, by_seq.datasets):
+        np.testing.assert_array_equal(a.column("x").values, b.column("x").values)
+
+
 def test_persistent_fit_failure_aborts():
     # a single observed x value makes every covariate fit rank deficient
     vals = [2.0] + [np.nan] * 20
@@ -504,17 +514,17 @@ def test_linear_substantive_smcfcs_agrees_with_fcs():
             ("y", C, OUT, y, np.ones(n)),
         ])
         smc_cfg = EngineConfig(
-            method="smcfcs", m=5, iterations=5,
+            method="smcfcs", m=5, iterations=5, seed=subsequence(31, "rep", rep, "smc"),
             substantive=("normal_linear", formula),
             covariate_specs=(CovariateModelSpec("x", "normal_linear", predictors=()),),
         )
         fcs_cfg = EngineConfig(
-            method="fcs", m=5, iterations=5,
+            method="fcs", m=5, iterations=5, seed=subsequence(31, "rep", rep, "fcs"),
             covariate_specs=(CovariateModelSpec(
                 "x", "normal_linear", predictors=(Term((("y", 1),)),)),),
         )
-        r_smc = run_smcfcs(d, smc_cfg, rng=subsequence(31, "rep", rep, "smc"))
-        r_fcs = run_fcs(d, fcs_cfg, rng=subsequence(31, "rep", rep, "fcs"))
+        r_smc = run_smcfcs(d, smc_cfg)
+        r_fcs = run_fcs(d, fcs_cfg)
         p_smc = pool(*fit_each(r_smc, "normal_linear", formula))
         p_fcs = pool(*fit_each(r_fcs, "normal_linear", formula))
         diffs[rep] = p_smc.point[1] - p_fcs.point[1]

@@ -611,6 +611,24 @@ def test_step_cumhazard_rejects_decreasing():
         StepCumHazard(knots=np.array([1.0, 2.0]), cumvals=np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("knots, cumvals, message", [
+    ([1.0, np.nan], [0.1, 0.2], "knots must be strictly ascending"),
+    ([np.nan], [0.1], "knots must be strictly ascending"),
+    ([1.0, 2.0], [0.1, np.nan], "cumulative hazard must be nonnegative"),
+    ([1.0, 2.0], [np.nan, 0.2], "cumulative hazard must be nonnegative"),
+])
+def test_step_cumhazard_rejects_nan(knots, cumvals, message):
+    # NaN compares false with everything, so an ordering check alone lets it through
+    with pytest.raises(ValueError, match=message):
+        StepCumHazard(knots=np.array(knots), cumvals=np.array(cumvals))
+
+
+def test_step_cumhazard_accepts_an_infinite_last_knot():
+    # cox_layout accepts an infinite time, so a Breslow step can sit there
+    h = StepCumHazard(knots=np.array([1.0, np.inf]), cumvals=np.array([0.5, 1.0]))
+    assert float(h(5.0)) == 0.5 and float(h(np.inf)) == 1.0
+
+
 def test_covariances_pass_cholesky():
     rng = rng0(16)
     n = 300

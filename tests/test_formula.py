@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
@@ -80,6 +82,164 @@ def test_unknown_token():
 def test_survival_intercept_rejected():
     with pytest.raises(FormulaError):
         parse_formula("surv(w,d) ~ 1 + x")
+
+
+# ---------------------------------------------------------------------------
+# the earlier tokenizer and recursive-descent parser, kept as a reference:
+# parse_formula must accept the same strings and raise the same messages
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>\d+)|(?P<op>[~+\-*^(),]))"
+)
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REF_TOKEN_RE.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise FormulaError(f"unknown token {stripped[0]!r} at position {at}")
+        tokens.append((match.lastgroup, match.group(match.lastgroup), match.start(match.lastgroup)))
+        pos = match.end()
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self, kind=None, value=None):
+        tok_kind, tok_value, tok_pos = self.peek()
+        if tok_kind is None:
+            raise FormulaError(f"unexpected end of formula at position {tok_pos}")
+        if kind is not None and tok_kind != kind or value is not None and tok_value != value:
+            raise FormulaError(f"unexpected token {tok_value!r} at position {tok_pos}")
+        self.i += 1
+        return tok_value
+
+    def at_op(self, value):
+        kind, val, _ = self.peek()
+        return kind == "op" and val == value
+
+    def parse(self):
+        response = self._response()
+        self.take("op", "~")
+        terms = []
+        intercept_flag = None
+        while True:
+            if self.at_op("-"):
+                self.take()
+                tok_kind, tok_value, tok_pos = self.peek()
+                if tok_kind != "int" or tok_value != "1":
+                    raise FormulaError(f"'-' only allowed before 1, at position {tok_pos}")
+                self.take()
+                intercept_flag = False
+            else:
+                kind, val, pos = self.peek()
+                if kind == "int":
+                    if val != "1":
+                        raise FormulaError(f"bare integer {val} at position {pos}; only 1 allowed")
+                    self.take()
+                    intercept_flag = True
+                else:
+                    terms.append(self._term())
+            if self.at_op("+"):
+                self.take()
+                continue
+            if self.at_op("-"):
+                continue
+            break
+        kind, val, pos = self.peek()
+        if kind is not None:
+            raise FormulaError(f"unexpected token {val!r} at position {pos}")
+        if isinstance(response, tuple):
+            if intercept_flag:
+                raise FormulaError("a survival formula cannot carry an intercept")
+            intercept = False
+        else:
+            intercept = True if intercept_flag is None else intercept_flag
+        return ModelFormula(response=response, terms=tuple(terms), intercept=intercept)
+
+    def _response(self):
+        name = self.take("ident")
+        if name == "surv" and self.at_op("("):
+            self.take()
+            time_name = self.take("ident")
+            self.take("op", ",")
+            event_name = self.take("ident")
+            self.take("op", ")")
+            return (time_name, event_name)
+        return name
+
+    def _term(self):
+        factors = [self._factor()]
+        while self.at_op("*"):
+            self.take()
+            factors.append(self._factor())
+        return Term(tuple(factors))
+
+    def _factor(self):
+        name = self.take("ident")
+        if self.at_op("^"):
+            self.take()
+            kind, val, pos = self.peek()
+            if kind != "int":
+                raise FormulaError(f"expected integer power at position {pos}")
+            self.take()
+            power = int(val)
+            if power == 0:
+                raise FormulaError(f"power 0 not allowed at position {pos}")
+            return (name, power)
+        return (name, 1)
+
+
+def _outcome(parse, text):
+    """The parsed formula, or the error's type and message; any other
+    exception fails the test."""
+    try:
+        return parse(text)
+    except ValueError as exc:  # FormulaError, or int() on an over-long power
+        return type(exc), str(exc)
+
+
+FORMULA_PIECES = "y x x1 w d surv ( ) , ~ + - * ^ 0 1 2 00 $".split() + [" ", "\t"]
+
+
+@given(st.lists(st.sampled_from(FORMULA_PIECES), max_size=16).map("".join))
+@settings(max_examples=1000, deadline=None)
+# one string for each error message, besides the random ones
+@example("")
+@example("y ~ x + $z")
+@example("y ~ x^0")
+@example("y ~ x^+")
+@example("y ~ x - 2")
+@example("y ~ 00 + x")
+@example("y ~ x x")
+@example("surv(w,d) ~ 1 + x")
+def test_parser_matches_the_reference_parser(text):
+    assert _outcome(parse_formula, text) == _outcome(lambda t: _RefParser(t).parse(), text)
+
+
+@given(st.sampled_from(["y ~ x + x^2", "y ~ x1*x2 - 1", "surv(w,d) ~ x1 + x2", "y ~ 1 + x"]),
+       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 1),
+                          st.sampled_from(FORMULA_PIECES + [""])), max_size=3))
+@settings(max_examples=500, deadline=None)
+def test_parser_matches_the_reference_parser_near_valid_formulas(text, edits):
+    # small edits of valid formulas reach the deeper error branches more often:
+    # each replaces `width` characters at `at` with a piece (or deletes them)
+    for at, width, piece in edits:
+        text = text[:at] + piece + text[at + width:]
+    assert _outcome(parse_formula, text) == _outcome(lambda t: _RefParser(t).parse(), text)
 
 
 names = st.sampled_from(["a", "b", "c", "x1", "x2"])

@@ -18,7 +18,7 @@ from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.engines import EngineFailure
 from smcimpute.fitters import fit_cox, fit_linear, fit_logistic
 from smcimpute.formula import design_from_arrays, parse_formula
-from smcimpute.rng import stream
+from smcimpute.rng import stream, subsequence
 from smcimpute.simlab import (
     CALIBRATION_DRAWS,
     CALIBRATION_SEED,
@@ -47,6 +47,25 @@ COX_EVENT_FRACTION = 0.6723
 
 # ---------------------------------------------------------------------------
 # data-generating processes
+
+@pytest.mark.parametrize("dgp, variant", [
+    (dgp, variant) for dgp, study in simlab.STUDIES.items() for variant in study.draws])
+def test_generating_predictor_is_the_analysed_formula_at_the_true_beta(dgp, variant):
+    # data are generated from the model each study analyses; the draw sums the
+    # terms one by one, so it agrees with the design matrix up to rounding
+    study = simlab.STUDIES[dgp]
+    covariates, eta = simlab._draw_linpred(dgp, variant, 500, stream(4, "eta", dgp))
+    cols = {c.name: c.values for c in covariates}
+    want = design_from_arrays(parse_formula(study.formula), cols, 500) @ np.array(study.beta)
+    assert eta.shape == want.shape
+    assert np.max(np.abs(eta - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_survival_study_has_no_missing_at_random_calibration():
+    # missing at random is defined through the outcome y, which a survival study lacks
+    with pytest.raises(ValueError, match="defined through the outcome y"):
+        simlab.mar_intercept("cox", None, 0.5)
+
 
 @pytest.mark.parametrize("variant", ["normal", "lognormal", "normal_mixture"])
 def test_quadratic_x_moments(variant):
@@ -368,7 +387,6 @@ def test_study_scale_smcfcs_runs_need_no_fallback():
     # at the study designs' scales the rejection sampler never exhausts the
     # default attempt cap
     from smcimpute.engines import EngineConfig, default_covariate_specs, run_smcfcs
-    from smcimpute.rng import subsequence
 
     for dgp, variant in (("quadratic", "normal"), ("interaction", "bvnormal"), ("cox", None)):
         cfg = ScenarioConfig(dgp=dgp, variant=variant, mechanism="mcar",
@@ -382,10 +400,11 @@ def test_study_scale_smcfcs_runs_need_no_fallback():
             d = gen_cox(cfg.n, stream(55, dgp, "data"))
         d = apply_mcar(d, 0.7, stream(55, dgp, "mask"))
         engine_cfg = EngineConfig(
-            method="smcfcs", m=2, substantive=(family, formula),
+            method="smcfcs", m=2, seed=subsequence(55, dgp, "engine"),
+            substantive=(family, formula),
             covariate_specs=default_covariate_specs(d, "smcfcs"),
         )
-        result = run_smcfcs(d, engine_cfg, rng=subsequence(55, dgp, "engine"))
+        result = run_smcfcs(d, engine_cfg)
         assert sum(result.diagnostics.fallbacks.values()) == 0
         for target in result.diagnostics.proposals:
             assert result.diagnostics.mean_acceptance(target) > 0.0
@@ -401,7 +420,7 @@ def test_fcs_linear_keeps_a_study_model_without_intercept(monkeypatch):
     class Stop(Exception):
         pass
 
-    def capture(d, config, rng=None):
+    def capture(d, config):
         received.extend(config.covariate_specs)
         raise Stop
 
@@ -411,7 +430,7 @@ def test_fcs_linear_keeps_a_study_model_without_intercept(monkeypatch):
     family, formula, _, _ = scenario_truth(cfg)
     d = apply_mcar(gen_quadratic("normal", cfg.n, stream(3, "data")), 0.7, stream(3, "mask"))
     with pytest.raises(Stop):
-        simlab.METHODS["fcs_linear"](cfg, family, formula, d, None)
+        simlab.METHODS["fcs_linear"](cfg, family, formula, d, subsequence(3, "fcs"))
     assert [(spec.target, spec.intercept) for spec in received] == [("x", False)]
     assert str(received[0].formula) == "x ~ y - 1"
 
@@ -476,7 +495,7 @@ def test_builtin_scenarios_match_the_pinned_table():
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(dgp="quadratic", variant="weird", mechanism="mcar")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mechanism must be one of 'mcar' for the cox study"):
         ScenarioConfig(dgp="cox", variant=None, mechanism="mar")
     with pytest.raises(ValueError):
         ScenarioConfig(dgp="cox", variant=None, mechanism="mcar", methods=("jav",))
