@@ -58,6 +58,7 @@ __all__ = [
     "ImputationResult",
     "EngineFailure",
     "SubstantiveModelError",
+    "check_integer",
     "run_fcs",
     "run_smcfcs",
     "jav_dataset",
@@ -82,6 +83,14 @@ class SubstantiveModelError(DataError):
     response with missing cells."""
 
 
+def check_integer(name: str, value, low: int):
+    """ValueError unless `value` is an integer (not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     method: str  # "fcs" | "smcfcs"
@@ -94,15 +103,11 @@ class EngineConfig:
     def __post_init__(self):
         if self.method not in ("fcs", "smcfcs"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        check_integer("m", self.m, 1)
         if not isinstance(self.seed, np.random.SeedSequence):
-            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-                raise ValueError(f"seed must be an integer, not {self.seed!r}")
-            if self.seed < 0:
-                raise ValueError("seed must be >= 0")
-        if self.iterations is not None and self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            check_integer("seed", self.seed, 0)
+        if self.iterations is not None:
+            check_integer("iterations", self.iterations, 1)
         if self.method == "smcfcs":
             if self.substantive is None:
                 raise ValueError("smcfcs requires a substantive (family, formula)")
@@ -317,9 +322,9 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         model = FAMILIES[family]
         try:
             response = model.prepare(*response_arrays(formula, d))
-        except (DataError, FitError) as exc:  # an absent column, a time not > 0, a y not 0/1
+        except FitError as exc:  # a time not > 0, a y not 0/1
             raise SubstantiveModelError(f"substantive response: {exc}") from None
-        except FormulaError as exc:  # a response column with missing cells
+        except FormulaError as exc:  # an absent response column or one with missing cells
             raise SubstantiveModelError(f"substantive {exc}") from None
 
     missing_idx = {name: np.flatnonzero(~d.column(name).observed) for name in sampled}

@@ -120,7 +120,7 @@ class ModelFormula:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>\d+)|(?P<op>[~+\-*^(),])|(?P<unknown>\S))"
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>[0-9]+)|(?P<op>[~+\-*^(),])|(?P<unknown>\S))"
 )
 
 
@@ -212,25 +212,27 @@ def design_from_arrays(f: ModelFormula, cols: Mapping[str, np.ndarray], n: int) 
     return X
 
 
-def _check_complete(cols, names, n_where):
+def _complete_columns(d, names, unknown: str, where: str) -> dict[str, np.ndarray]:
+    """The named columns' values; FormulaError names an absent or incomplete one."""
+    for name in names:
+        if not d.has_column(name):
+            raise FormulaError(f"{unknown} {name!r}")
+    cols = {name: d.column(name).values for name in names}
     for name in names:
         if np.any(np.isnan(cols[name])):
-            raise FormulaError(f"column {name} has missing cells; {n_where} needs complete data")
+            raise FormulaError(f"column {name} has missing cells; {where} needs complete data")
+    return cols
 
 
 def design_matrix(f: ModelFormula, d) -> np.ndarray:
     """Evaluate the formula's right-hand side on a completed dataset."""
-    for v in f.variables:
-        if not d.has_column(v):
-            raise FormulaError(f"formula references unknown column {v!r}")
-    cols = {v: d.column(v).values for v in f.variables}
-    _check_complete(cols, f.variables, "design_matrix")
+    cols = _complete_columns(d, f.variables, "formula references unknown column",
+                             "design_matrix")
     return design_from_arrays(f, cols, d.n)
 
 
 def response_arrays(f: ModelFormula, d) -> tuple[np.ndarray, ...]:
     """Response data: (y,) for a plain outcome, (time, event) for survival."""
     names = f.response if f.is_survival else (f.response,)
-    cols = {name: d.column(name).values for name in names}
-    _check_complete(cols, names, "response")
+    cols = _complete_columns(d, names, "response: unknown column", "response")
     return tuple(cols[name] for name in names)

@@ -15,8 +15,8 @@ import numpy as np
 
 from ._special import normal_quantile, t_quantile
 from .fitters import FitError
-from .formula import ModelFormula
-from .substantive import shared_response, substantive_estimates
+from .formula import ModelFormula, response_arrays
+from .substantive import outcome_family, substantive_estimates
 
 __all__ = ["PooledEstimate", "PoolError", "fit_each", "pool"]
 
@@ -54,16 +54,22 @@ class PooledEstimate:
 def fit_each(result, family: str, formula: ModelFormula):
     """Outcome-model MLE and squared standard errors on each imputed dataset.
 
-    `result` is an ImputationResult or any iterable of completed datasets.
+    `result` is an ImputationResult or any iterable of completed datasets,
+    walked once.  The response (for Cox, its risk-set layout) is prepared
+    again only when a dataset's response arrays differ from the previous
+    dataset's, so imputations of covariates alone share one.  A formula that
+    names an absent column, or one with missing cells, raises FormulaError.
     All fits must succeed; failures abort pooling and name the failing
-    imputations (1-based).  The response (for Cox, its risk-set layout) is
-    prepared once when it is the same in every dataset.
+    imputations (1-based).
     """
-    datasets = list(getattr(result, "datasets", result))
-    response = shared_response(family, formula, datasets)
+    model = outcome_family(family, formula)
     estimates, variances, failed = [], [], []
-    for index, d in enumerate(datasets, start=1):
+    arrays = response = None
+    for index, d in enumerate(getattr(result, "datasets", result), start=1):
+        current = response_arrays(formula, d)
         try:
+            if arrays is None or not all(map(np.array_equal, current, arrays)):
+                response, arrays = model.prepare(*current), current
             est, var = substantive_estimates(family, formula, d, response)
             estimates.append(est)
             variances.append(var)

@@ -48,6 +48,7 @@ from .engines import (
     CUMHAZ,
     EngineConfig,
     EngineFailure,
+    check_integer,
     default_covariate_specs,
     jav_analysis_formula,
     jav_dataset,
@@ -488,11 +489,7 @@ class ScenarioConfig:
         if not 0.0 < self.p_obs < 1.0:
             raise ValueError("p_obs must be in (0, 1)")
         for name, low in (("n", 1), ("reps", 1), ("m", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+            check_integer(name, getattr(self, name), low)
         if self.methods is None:
             object.__setattr__(self, "methods", tuple(
                 method for method in ("fcs_linear", "jav", "smcfcs") if method in study.methods))

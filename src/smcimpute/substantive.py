@@ -61,7 +61,6 @@ __all__ = [
     "log_ratio_normal",
     "log_ratio_discrete",
     "log_ratio_cox",
-    "shared_response",
     "substantive_estimates",
 ]
 
@@ -318,22 +317,3 @@ def substantive_estimates(family: str, formula: ModelFormula, d, response=None):
         response = model.prepare(*response_arrays(formula, d))
     fit = model.fit(X, response)
     return fit.beta.copy(), fit.coef_variances().copy()
-
-
-def shared_response(family: str, formula: ModelFormula, datasets):
-    """The prepared response of every dataset when all their response arrays
-    are equal, as when only covariates were imputed; else None.  Also None
-    when a dataset lacks a complete, valid response, which its own fit reports."""
-    model = outcome_family(family, formula)
-    try:
-        arrays = [response_arrays(formula, d) for d in datasets]
-    except (DataError, FormulaError):
-        return None
-    if not arrays or not all(
-        all(map(np.array_equal, other, arrays[0])) for other in arrays[1:]
-    ):
-        return None
-    try:
-        return model.prepare(*arrays[0])
-    except FitError:  # survival times that are not positive
-        return None

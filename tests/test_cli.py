@@ -100,6 +100,18 @@ def test_impute_engine_abort_exit_code(tmp_path):
     assert code == 3
 
 
+def test_impute_partial_covariate_with_no_observed_value_is_an_engine_failure(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f",{0.5 * i}\n" for i in range(20)))
+    schema = tmp_path / "schema.csv"
+    schema.write_text(SCHEMA)
+    assert run(["impute", "--data", data, "--schema", schema, "--method", "smcfcs",
+                "--family", "linear", "--smodel", "y ~ x", "--m", 2, "--iter", 1,
+                "--out", tmp_path / "o.csv"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["failure: column x has no observed values"]
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("method, extra", [
     ("smcfcs", ["--family", "linear", "--smodel", "y ~ x + bp"]),
     ("fcs", ["--covmodel", "x ~ bp"]),
@@ -296,15 +308,22 @@ def test_analyze_malformed_row_is_usage_error(tmp_path, capsys, tail, bad_row, c
     assert f"row {bad_row} has {cells} cells, expected 3" in capsys.readouterr().err
 
 
-def test_analyze_smodel_with_unknown_column_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("family, smodel, message", [
+    ("linear", "y ~ x + z", "formula references unknown column 'z'"),
+    ("linear", "q ~ x", "response: unknown column 'q'"),
+    ("cox", "surv(a,b) ~ x", "response: unknown column 'a'"),
+], ids=["rhs", "response", "surv-response"])
+def test_analyze_smodel_with_unknown_column_is_usage_error(tmp_path, capsys,
+                                                           family, smodel, message):
     data = tmp_path / "long.csv"
     data.write_text("_imp,x,y\n1,0.0,1.0\n1,1.0,2.5\n2,0.0,1.1\n2,1.0,2.4\n")
     schema = tmp_path / "schema.csv"
     schema.write_text(SCHEMA)
-    code = run(["analyze", "--data", data, "--schema", schema, "--family", "linear",
-                "--smodel", "y ~ x + z", "--out", tmp_path / "pooled.csv"])
+    code = run(["analyze", "--data", data, "--schema", schema, "--family", family,
+                "--smodel", smodel, "--out", tmp_path / "pooled.csv"])
     assert code == 2
-    assert "--smodel: formula references unknown column 'z'" in capsys.readouterr().err
+    assert f"error: --smodel: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "pooled.csv").exists()
 
 
 def test_analyze_unequal_imputation_lengths_is_usage_error(tmp_path, capsys):
@@ -810,3 +829,56 @@ def test_fuzz_malformed_scenario_json_is_a_usage_error(content, tmp_path_factory
                              "--out", tmp / "s.csv"])
     assert code == 2
     assert err.startswith("error: --scenario: ")
+
+
+SMODEL_NAME = st.sampled_from(["x", "z", "y", "b", "t", "e", "q", "w"])  # no column q or w
+SMODEL_TERM = st.one_of(
+    st.sampled_from(["1", "-1"]),
+    st.lists(st.tuples(SMODEL_NAME, st.sampled_from(["", "^2", "^3"])).map("".join),
+             min_size=1, max_size=3).map("*".join),
+)
+SMODEL = st.tuples(
+    st.one_of(SMODEL_NAME, st.tuples(SMODEL_NAME, SMODEL_NAME).map("surv({0[0]},{0[1]})".format)),
+    st.lists(SMODEL_TERM, min_size=1, max_size=3).map(" + ".join),
+).map(" ~ ".join)
+
+
+@pytest.fixture(scope="module")
+def smodel_files(tmp_path_factory):
+    """A 40-row dataset with every column kind and role, its schema, and two
+    completed copies of it in the long format `analyze` reads."""
+    tmp = tmp_path_factory.mktemp("smodel")
+    rng = np.random.default_rng(24)
+    n = 40
+    full, observed = np.ones(n, dtype=bool), rng.random(n) < 0.7
+    x = rng.normal(size=n)
+    columns = [
+        ("x", VariableKind.CONTINUOUS, VariableRole.PARTIAL_COVARIATE, x),
+        ("z", VariableKind.CONTINUOUS, VariableRole.COMPLETE_COVARIATE, rng.normal(size=n)),
+        ("y", VariableKind.CONTINUOUS, VariableRole.OUTCOME, x + rng.normal(size=n)),
+        ("b", VariableKind.BINARY, VariableRole.OUTCOME, (rng.random(n) < 0.5).astype(float)),
+        ("t", VariableKind.CONTINUOUS, VariableRole.TIME, rng.exponential(size=n)),
+        ("e", VariableKind.BINARY, VariableRole.EVENT, (rng.random(n) < 0.7).astype(float)),
+    ]
+    complete = Dataset(tuple(Column(name, kind, role, values, full)
+                             for name, kind, role, values in columns))
+    write_csv(Dataset(tuple(
+        Column(c.name, c.kind, c.role, np.where(observed, c.values, np.nan), observed)
+        if c.name == "x" else c for c in complete.columns)), tmp / "d.csv")
+    _write_long_csv(tmp / "long.csv", [complete, complete], complete.names)
+    (tmp / "schema.csv").write_text("name,kind,role\n" + "".join(
+        f"{name},{kind.value},{role.value}\n" for name, kind, role, _ in columns))
+    return tmp
+
+
+@given(family=st.sampled_from(["linear", "logistic", "cox"]), smodel=SMODEL)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fuzz_smodel_over_present_and_absent_columns_exits_with_a_code(smodel_files, family,
+                                                                       smodel):
+    tmp = smodel_files
+    flags = ["--schema", tmp / "schema.csv", "--family", family, "--smodel", smodel]
+    for argv in (["analyze", "--data", tmp / "long.csv", "--out", tmp / "p.csv"],
+                 ["impute", "--data", tmp / "d.csv", "--method", "smcfcs", "--m", 2,
+                  "--iter", 1, "--out", tmp / "o.csv"]):
+        code, _ = run_quietly(argv + flags)
+        assert code in (0, 2, 3)

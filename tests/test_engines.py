@@ -93,6 +93,15 @@ def test_initialize_constant_observed_values():
     assert out["x"][3] == 1.0
 
 
+def test_a_partial_covariate_with_no_observed_value_fails_the_run():
+    d = quadratic_data(n=40, p_obs=0.0, seed=1)
+    assert not d.column("x").observed.any()
+    cfg = EngineConfig(method="fcs", m=2, iterations=1,
+                       covariate_specs=default_covariate_specs(d, "fcs"))
+    with pytest.raises(EngineFailure, match="^column x has no observed values$"):
+        run_fcs(d, cfg)
+
+
 def test_initialize_draws_from_observed_multiset():
     vals = [1.5, 2.5, 9.0] + [np.nan] * 40
     obs = [True] * 3 + [False] * 40
@@ -449,6 +458,20 @@ def test_engine_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed, m
         EngineConfig(method="fcs", seed=seed)
     # a numpy integer is an integer
     assert EngineConfig(method="fcs", seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", 2.5, "m must be an integer, not 2.5"),
+    ("m", True, "m must be an integer, not True"),
+    ("m", 0, "m must be >= 1"),
+    ("iterations", 2.0, "iterations must be an integer, not 2.0"),
+    ("iterations", False, "iterations must be an integer, not False"),
+    ("iterations", 0, "iterations must be >= 1"),
+])
+def test_engine_config_rejects_a_count_that_is_not_a_positive_integer(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EngineConfig(method="fcs", **{field: value})
+    assert getattr(EngineConfig(method="fcs", **{field: np.int64(2)}), field) == 2
 
 
 def test_an_integer_seed_roots_the_engine_stream_a_seed_sequence_is_the_root():

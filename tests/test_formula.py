@@ -12,6 +12,7 @@ from smcimpute.formula import (
     Term,
     design_matrix,
     parse_formula,
+    response_arrays,
     term_column_name,
 )
 
@@ -77,6 +78,14 @@ def test_syntax_error_reports_position():
 def test_unknown_token():
     with pytest.raises(FormulaError, match="unknown token"):
         parse_formula("y ~ x + $z")
+
+
+@pytest.mark.parametrize("text, token, position", [("y ~ x^\u0662", "\u0662", 6),
+                                                   ("y ~ \u0661 + x", "\u0661", 4)])
+def test_a_digit_outside_0_to_9_is_an_unknown_token(text, token, position):
+    # Arabic-Indic digits: int() reads them, so a \d token would parse x^2 and 1
+    with pytest.raises(FormulaError, match=f"^unknown token '{token}' at position {position}$"):
+        parse_formula(text)
 
 
 def test_survival_intercept_rejected():
@@ -295,6 +304,13 @@ def test_design_matrix_unknown_variable():
     d = complete({"y": [1.0]})
     with pytest.raises(FormulaError, match="unknown column"):
         design_matrix(parse_formula("y ~ q"), d)
+
+
+@pytest.mark.parametrize("text, absent", [("q ~ y", "q"), ("surv(y,e) ~ x", "e")])
+def test_response_arrays_names_an_absent_response_column(text, absent):
+    d = complete({"y": [1.0]})
+    with pytest.raises(FormulaError, match=f"^response: unknown column '{absent}'$"):
+        response_arrays(parse_formula(text), d)
 
 
 def test_linearity_in_power_one_variable():
