@@ -26,6 +26,7 @@ from .dataset import (
     VariableKind,
     VariableRole,
     atomic_write_text,
+    check_csv_name,
     format_rows,
     format_values,
     read_csv,
@@ -110,6 +111,7 @@ def read_schema(path):
         try:
             kind = VariableKind(row["kind"])
             role = VariableRole(row["role"])
+            check_csv_name("column name", row["name"])
         except ValueError as exc:
             _fail("--schema", str(exc))
         if row["name"] in ("_imp", CUMHAZ):

@@ -41,6 +41,7 @@ __all__ = [
     "write_csv",
     "missingness_order",
     "atomic_write_text",
+    "check_csv_name",
 ]
 
 DEFAULT_MISSING_TOKENS = ("", "NA", ".")
@@ -242,6 +243,13 @@ def read_csv(
         Column(name, kind, role, by_name[name], ~np.isnan(by_name[name]))
         for name, kind, role in schema
     ))
+
+
+def check_csv_name(what: str, name: str) -> None:
+    """ValueError unless `name` can be a CSV cell as written: the writers join
+    cells with commas and quote none, so a reader would split it."""
+    if any(c in name for c in ',"\r\n'):
+        raise ValueError(f"{what} {name!r} contains a comma, quote or line break")
 
 
 def format_values(values: np.ndarray) -> list[str]:

@@ -1,24 +1,27 @@
 """Iterative imputation engines.
 
-Two engines share one chain skeleton:
+One sweep and one chain serve both engines:
 
   run_fcs      chained equations: each partial covariate gets a univariate
                imputation model fitted to the subjects with that covariate
                observed, a posterior draw of its parameters, and direct
                sampling of the missing cells.
 
-  run_smcfcs   compatible variant: before imputing covariate j, the outcome
-               model's parameters are drawn from their posterior on the
-               current completed data, then the covariate model for j is
-               fitted to all subjects and drawn; missing cells are imputed
-               from the density proportional to
+  run_smcfcs   compatible variant: the same sweep with three steps changed.
+               Before covariate j, the outcome model's parameters are drawn
+               from their posterior on the current completed data; the
+               covariate model for j is fitted to all subjects; and missing
+               cells are imputed from the density proportional to
                f(outcome | covariates) * f(covariate j | other covariates),
                by exact enumeration for binary targets and rejection
                sampling (proposal = covariate model) for continuous ones.
 
-Both call the family objects of the substantive module directly.  Each of
-the M imputations runs an independent chain from a fresh random
-initialization.  A covariate model that names the reserved column CUMHAZ
+`_sweep` is that one pass over the sampled covariates; it branches only on
+whether the run has an outcome model.  `_run_chain` runs one chain: a fresh
+random initialization, the sweeps, and up to MAX_CHAIN_RETRIES restarts on
+FitError, all drawn from the chain's own stream, so chain k depends only on
+the seed and k.  Both engines call the family objects of the substantive
+module directly.  A covariate model that names the reserved column CUMHAZ
 conditions on the marginal Nelson-Aalen cumulative hazard, which the engine
 adds to the dataset under that name.
 
@@ -447,45 +450,42 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the sweep and the chain
 
-def _fcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
+def _sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
+    """One pass over the sampled covariates, in place on `cur`.
+
+    Without a substantive model this is chained equations.  With one (smcfcs)
+    three steps change: the outcome model's psi is drawn first, the covariate
+    model is fitted to every row, and the missing cells are drawn from the
+    compatible density instead of from the covariate model alone.
+    """
+    model = ctx.model
+    family, formula = ctx.config.substantive or (None, None)
     for name in ctx.sampled:
+        if model is not None:
+            X = design_from_arrays(formula, cur, ctx.d.n)
+            # the covariate models' warm starts are keyed by column name, so
+            # the outcome model's takes a key no column can have
+            fit = model.fit(X, ctx.response, warm.get(None))
+            psi = model.draw(fit, X, ctx.response, rng)
+            warm[None] = fit.beta
+            diag.record_trace(imp, sweep, f"psi[{name}]", formula.labels(), psi.beta)
+            if psi.sigma2 is not None:
+                diag.record_trace(imp, sweep, f"psi[{name}]", ["sigma2"], [psi.sigma2])
         spec = ctx.specs[name]
         X = design_from_arrays(spec.formula, cur, ctx.d.n)
-        obs = ctx.d.column(name).observed
-        fit = spec.model.fit(X[obs], cur[name][obs], warm.get(name))
-        phi = spec.model.posterior(fit, rng)
-        warm[name] = fit.beta
-        diag.record_trace(imp, sweep, f"phi[{name}]", spec.formula.labels(), phi.beta)
-        miss = ctx.missing_idx[name]
-        if miss.size:
-            cur[name][miss] = spec.model.sample(phi, X[miss] @ phi.beta, rng)
-
-
-def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
-    family, formula = ctx.config.substantive
-    model, response = ctx.model, ctx.response
-    for name in ctx.sampled:
-        X = design_from_arrays(formula, cur, ctx.d.n)
-        # the covariate models' warm starts are keyed by column name, so the
-        # outcome model's takes a key no column can have
-        fit = model.fit(X, response, warm.get(None))
-        psi = model.draw(fit, X, response, rng)
-        warm[None] = fit.beta
-        diag.record_trace(imp, sweep, f"psi[{name}]", formula.labels(), psi.beta)
-        if psi.sigma2 is not None:
-            diag.record_trace(imp, sweep, f"psi[{name}]", ["sigma2"], [psi.sigma2])
-        spec = ctx.specs[name]
-        X = design_from_arrays(spec.formula, cur, ctx.d.n)
-        fit = spec.model.fit(X, cur[name], warm.get(name))
+        rows = ctx.d.column(name).observed if model is None else slice(None)
+        fit = spec.model.fit(X[rows], cur[name][rows], warm.get(name))
         phi = spec.model.posterior(fit, rng)
         warm[name] = fit.beta
         diag.record_trace(imp, sweep, f"phi[{name}]", spec.formula.labels(), phi.beta)
         miss = ctx.missing_idx[name]
         if not miss.size:
             continue
-        if spec.model.binary:
+        if model is None:
+            cur[name][miss] = spec.model.sample(phi, X[miss] @ phi.beta, rng)
+        elif spec.model.binary:
             p1 = smc_binary_probs(family, formula, psi, spec, phi, cur, miss)
             cur[name][miss] = (rng.random(miss.size) < p1).astype(float)
             diag.record_sampling(name, miss.size, miss.size, 0)
@@ -497,39 +497,39 @@ def _smcfcs_sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
             diag.record_sampling(name, proposals, miss.size - fallbacks, fallbacks)
 
 
-# ---------------------------------------------------------------------------
-# engine driver
+def _run_chain(ctx: _Context, base, imp):
+    """Chain `imp`: (its sampled columns, the delivered attempt's diagnostics,
+    the number of failed attempts).  Its draws depend only on (base, imp).
 
-def _run_engine(d: Dataset, config: EngineConfig, sweep_fn) -> ImputationResult:
+    Each attempt records on its own, so a failed attempt's record is dropped.
+    """
+    rng = stream(base, "chain", imp)
+    for retries in range(1 + MAX_CHAIN_RETRIES):
+        record = Diagnostics()
+        try:
+            cur = _init_columns(ctx, rng)
+            warm: dict = {}
+            for sweep in range(1, ctx.config.sweeps + 1):
+                _sweep(ctx, cur, rng, record, imp, sweep, warm)
+            return {name: cur[name] for name in ctx.sampled}, record, retries
+        except FitError as exc:
+            error = exc
+    raise EngineFailure(f"imputation {imp} failed after {MAX_CHAIN_RETRIES} retries: {error}")
+
+
+def _run_engine(d: Dataset, config: EngineConfig) -> ImputationResult:
     ctx = _build_context(d, config)
     seed = config.seed
     base = seed if isinstance(seed, np.random.SeedSequence) else subsequence(seed, "engine")
     diag = Diagnostics()
     datasets = []
     for imp in range(1, config.m + 1):
-        chain_rng = stream(base, "chain", imp)
-        last_error = None
-        for _attempt in range(1 + MAX_CHAIN_RETRIES):
-            # each attempt records on its own; diagnostics describe delivered
-            # imputations only, so a failed attempt's record is dropped
-            chain = Diagnostics()
-            try:
-                cur = _init_columns(ctx, chain_rng)
-                warm: dict = {}
-                for sweep in range(1, config.sweeps + 1):
-                    sweep_fn(ctx, cur, chain_rng, chain, imp, sweep, warm)
-                break
-            except FitError as exc:
-                last_error = exc
-                diag.retries += 1
-        else:
-            raise EngineFailure(
-                f"imputation {imp} failed after {MAX_CHAIN_RETRIES} retries: {last_error}"
-            )
+        columns, chain, retries = _run_chain(ctx, base, imp)
+        diag.retries += retries
         diag.traces += chain.traces
         for target, proposals in chain.proposals.items():
             diag.record_sampling(target, proposals, chain.accepted[target], chain.fallbacks[target])
-        datasets.append(ctx.d.with_values({name: cur[name] for name in ctx.sampled}))
+        datasets.append(ctx.d.with_values(columns))
     return ImputationResult(datasets=tuple(datasets), diagnostics=diag)
 
 
@@ -537,11 +537,11 @@ def run_fcs(d: Dataset, config: EngineConfig) -> ImputationResult:
     """Standard chained-equations imputation."""
     if config.method != "fcs":
         raise ValueError("config.method must be 'fcs'")
-    return _run_engine(d, config, _fcs_sweep)
+    return _run_engine(d, config)
 
 
 def run_smcfcs(d: Dataset, config: EngineConfig) -> ImputationResult:
     """Substantive-model-compatible chained-equations imputation."""
     if config.method != "smcfcs":
         raise ValueError("config.method must be 'smcfcs'")
-    return _run_engine(d, config, _smcfcs_sweep)
+    return _run_engine(d, config)

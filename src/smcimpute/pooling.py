@@ -3,8 +3,8 @@
 Point estimate: mean of the M per-imputation estimates.  Variance: mean
 within-imputation variance plus (1 + 1/M) times the between-imputation
 sample variance.  Degrees of freedom follow the classical large-sample
-formula (M - 1)(1 + W / ((1 + 1/M) B))^2; when B = 0 the interval falls
-back to normal quantiles.
+formula (M - 1)(1 + W / ((1 + 1/M) B))^2; when B = 0 they are infinite and
+the interval falls back to normal quantiles.
 """
 
 from __future__ import annotations
@@ -101,9 +101,12 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
     between[equal] = 0.0
     total = within + (1.0 + 1.0 / m) * between
 
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = within / ((1.0 + 1.0 / m) * between)
-        df = (m - 1) * (1.0 + ratio) ** 2  # inf as B -> 0 is the intended limit
+    # df is inf where B = 0, its limit as B -> 0; a huge finite ratio
+    # overflows to inf on squaring
+    with np.errstate(over="ignore"):
+        ratio = np.divide(within, (1.0 + 1.0 / m) * between,
+                          out=np.full_like(within, np.inf), where=between != 0.0)
+        df = (m - 1) * (1.0 + ratio) ** 2
 
     alpha = 0.5 * (1.0 + level)
     quantile = np.array([normal_quantile(alpha) if b == 0.0 else t_quantile(nu, alpha)

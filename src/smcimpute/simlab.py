@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from ._special import expit
-from .dataset import Column, Dataset, VariableKind, VariableRole, DataError
+from .dataset import Column, Dataset, VariableKind, VariableRole, DataError, check_csv_name
 from .engines import (
     CUMHAZ,
     EngineConfig,
@@ -476,6 +476,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or (name == "variant" and value is None)):
                 raise ValueError(f"{name} must be a string, not {value!r}")
+        check_csv_name("name", self.name)
         if isinstance(self.p_obs, bool) or not isinstance(self.p_obs, numbers.Real):
             raise ValueError(f"p_obs must be a number, not {self.p_obs!r}")
         study = STUDIES.get(self.dgp)

@@ -406,6 +406,27 @@ def test_schema_reserves_the_cumhaz_column(tmp_path, capsys):
     assert "--schema: column name _cumhaz is reserved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["x,1", 'x"1', "x\n1", "x\r1"],
+                         ids=["comma", "quote", "newline", "return"])
+def test_schema_refuses_a_name_the_csv_writers_would_split(tmp_path, capsys, name):
+    # the long CSV's header is written unquoted, so `analyze` could not read it back
+    rows = [["name", "kind", "role"], [name, "continuous", "partial_covariate"],
+            ["y", "continuous", "outcome"]]
+    schema = tmp_path / "schema.csv"
+    with open(schema, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    data = tmp_path / "d.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows([[name, "y"], ["1.0", "2.0"], ["", "3.0"], ["2.0", "4.0"]])
+    out = tmp_path / "o.csv"
+    code = run(["impute", "--data", data, "--schema", schema, "--method", "fcs",
+                "--m", 2, "--out", out])
+    assert code == 2
+    assert (f"error: --schema: column name {name!r} contains a comma, quote or line break"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_impute_fcs_with_an_event_but_no_time_column_is_usage_error(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("x,d\n1.0,1\n,0\n0.5,1\n2.0,0\n")
@@ -802,7 +823,7 @@ BAD_SCENARIO_FIELDS = {
                                                                    "cox"))),
     "variant": st.one_of(NOT_A_STRING, TEXT),
     "mechanism": st.one_of(NOT_A_STRING, TEXT.filter(lambda t: t != "mcar")),
-    "name": NOT_A_STRING,
+    "name": st.one_of(NOT_A_STRING, st.sampled_from(["a,b", 'a"b', "a\nb"])),
     "methods": st.one_of(NOT_A_STRING.filter(lambda v: not isinstance(v, list)),
                          st.lists(JSON.filter(lambda v: v not in ("cc", "fcs_linear", "smcfcs")),
                                   min_size=1, max_size=3)),

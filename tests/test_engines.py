@@ -584,31 +584,78 @@ def test_fcs_survival_materializes_cumhaz():
     assert not run_fcs(d, cfg).datasets[0].has_column(CUMHAZ)
 
 
-def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
+def run_quadratic(method, d, **kw):
+    """`method` on quadratic data: fcs with default specs, smcfcs with the
+    quadratic substantive model."""
+    if method == "fcs":
+        return run_fcs(d, EngineConfig(method="fcs", seed=11,
+                                       covariate_specs=default_covariate_specs(d, "fcs"), **kw))
+    return run_smcfcs(d, smcfcs_quadratic_config(**kw))
+
+
+def chain_output(result, imp):
+    """Chain `imp`'s imputed x, as bytes, and its trace rows."""
+    return (result.datasets[imp - 1].column("x").values.tobytes(),
+            [row for row in result.diagnostics.traces if row[0] == imp])
+
+
+def fail_nth_posterior(monkeypatch, n):
+    """Make the n-th NormalLinear.posterior draw of the next run raise FitError."""
     from smcimpute.substantive import NormalLinear
 
     real = NormalLinear.posterior
     calls = {"n": 0}
 
-    def fail_third_call(*args, **kwargs):
+    def fail_nth_call(*args, **kwargs):
         calls["n"] += 1
-        # the outcome and the covariate draw once each per sweep, so the
-        # third draw is chain 1's outcome draw in sweep 2, after one sweep
-        # has been recorded
-        if calls["n"] == 3:
+        if calls["n"] == n:
             raise FitError("forced")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(NormalLinear, "posterior", fail_third_call)
+    monkeypatch.setattr(NormalLinear, "posterior", fail_nth_call)
+
+
+@pytest.mark.parametrize("method", ["fcs", "smcfcs"])
+def test_the_first_chains_of_a_run_equal_a_run_with_fewer_chains(method):
+    # chain k depends only on (seed, k), so chains can run in any order or place
+    d = quadratic_data(n=120, seed=4)
+    three = run_quadratic(method, d, m=3, iterations=3)
+    two = run_quadratic(method, d, m=2, iterations=3)
+    for imp in (1, 2):
+        assert chain_output(three, imp) == chain_output(two, imp)
+    assert chain_output(three, 3) != chain_output(three, 2)
+
+
+def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
     d = quadratic_data(n=120, seed=4)
     cfg = smcfcs_quadratic_config(m=2, iterations=4)
-    diag = run_smcfcs(d, cfg).diagnostics
+    clean = run_smcfcs(d, cfg)
+    # the outcome and the covariate draw once each per sweep, so the third
+    # draw is chain 1's outcome draw in sweep 2, after one sweep has been
+    # recorded
+    fail_nth_posterior(monkeypatch, 3)
+    result = run_smcfcs(d, cfg)
+    diag = result.diagnostics
+    assert clean.diagnostics.retries == 0
     assert diag.retries == 1
     keys = [row[:4] for row in diag.traces]
     assert len(keys) == len(set(keys))
     assert {k[:2] for k in keys} == {(imp, s) for imp in (1, 2) for s in range(1, 5)}
     n_miss = d.column("x").n_missing
     assert diag.accepted["x"] + diag.fallbacks["x"] == 2 * 4 * n_miss
+    # the retry draws on chain 1's stream only: chain 2 is as in the clean run
+    assert chain_output(result, 2) == chain_output(clean, 2)
+    assert chain_output(result, 1) != chain_output(clean, 1)
+
+
+def test_a_retry_in_chain_1_leaves_chain_2_unchanged_under_fcs(monkeypatch):
+    d = quadratic_data(n=120, seed=4)
+    clean = run_quadratic("fcs", d, m=2, iterations=4)
+    fail_nth_posterior(monkeypatch, 2)  # chain 1's covariate draw in sweep 2
+    result = run_quadratic("fcs", d, m=2, iterations=4)
+    assert (clean.diagnostics.retries, result.diagnostics.retries) == (0, 1)
+    assert chain_output(result, 2) == chain_output(clean, 2)
+    assert chain_output(result, 1) != chain_output(clean, 1)
 
 
 def test_cox_smcfcs_run_builds_the_risk_set_layout_once(monkeypatch):

@@ -26,6 +26,17 @@ def test_degenerate_between_variance():
     assert p.ci_high[0] == pytest.approx(1.0 + half)
 
 
+def test_equal_estimates_with_zero_within_variance_have_infinite_df():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = pool([[1.0, 2.0], [1.0, 2.0]], [[0.0, 0.1], [0.0, 0.1]])
+    # the B -> 0 limit, not 0/0
+    assert np.all(p.df == np.inf)
+    assert p.ci_low[0] == p.ci_high[0] == 1.0
+
+
 def test_hand_computed_pooling():
     est = np.array([[1.0], [2.0], [3.0]])
     var = np.full((3, 1), 0.5)
