@@ -35,8 +35,6 @@ from .fitters import (
     NewtonFit,
     StepCumHazard,
     breslow_baseline,
-    draw_cox_posterior,
-    draw_glm_posterior,
     draw_linear_posterior,
     fit_cox,
     fit_linear,

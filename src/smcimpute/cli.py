@@ -87,10 +87,19 @@ _LEVEL = _flag_type(float, lambda p: 0.0 < p < 1.0, "must be strictly between 0 
 _FORMULA = _flag_type(parse_formula)
 _COVMODEL = _flag_type(parse_formula, lambda f: not f.is_survival,
                        "covariate model target must be a single column")
+
+
+def _names_a_file(path):
+    return not os.path.isdir(path or ".") and os.path.isdir(os.path.dirname(path) or ".")
+
+
 # checked before any data is read, so a bad path costs no imputation
-_OUT = _flag_type(str, lambda path: not os.path.isdir(path or ".")
-                  and os.path.isdir(os.path.dirname(path) or "."),
-                  "must name a file in an existing directory")
+_OUT = _flag_type(str, _names_a_file, "must name a file in an existing directory")
+# impute writes its diagnostics beside the output, to OUT.diag.csv
+_IMPUTE_OUT = _flag_type(str, lambda path: _names_a_file(path)
+                         and not os.path.isdir(f"{path}.diag.csv"),
+                         "must name a file in an existing directory, "
+                         "and OUT.diag.csv must not be a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_COUNT, default=10)
     p.add_argument("--iter", type=_COUNT, default=None)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--out", required=True, type=_OUT)
+    p.add_argument("--out", required=True, type=_IMPUTE_OUT)
     p.add_argument("--family", choices=tuple(FAMILY_FLAGS))
     p.add_argument("--smodel", type=_FORMULA)
     p.add_argument("--covmodel", type=_COVMODEL, action="append", default=[])

@@ -266,8 +266,11 @@ def write_csv(d: Dataset, path) -> None:
     """Write a dataset; unobserved cells come out empty.
 
     Values are formatted with repr so a read-back reproduces them bit-exactly.
-    The rows go to the file CHUNK_ROWS at a time.
+    The rows go to the file CHUNK_ROWS at a time.  In a one-column file an
+    empty cell is written "", since a blank line reads back as no cells.
     """
+    empty = '""' if len(d.columns) == 1 else ""
+
     def chunks():
         yield ",".join(d.names) + "\n"
         for start in range(0, d.n, CHUNK_ROWS):
@@ -276,7 +279,7 @@ def write_csv(d: Dataset, path) -> None:
             for col in d.columns:
                 cells = format_values(col.values[rows])
                 for i in np.flatnonzero(~col.observed[rows]).tolist():
-                    cells[i] = ""
+                    cells[i] = empty
                 columns.append(cells)
             yield format_rows(columns)
 
@@ -286,12 +289,16 @@ def write_csv(d: Dataset, path) -> None:
 def atomic_write_text(path, text: str | Iterable[str]) -> None:
     """Write a string, or an iterable of string chunks, via temp-and-rename so
     readers never see a partial file.  If a chunk cannot be produced, the
-    temp file is removed and `path` is left as it was."""
+    temp file is removed and `path` is left as it was.  The file gets the
+    mode open(path, "w") gives a new file: 0o666 less the umask."""
     chunks = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

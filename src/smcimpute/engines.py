@@ -476,8 +476,9 @@ def _sweep(ctx: _Context, cur, rng, diag, imp, sweep, warm):
         spec = ctx.specs[name]
         X = design_from_arrays(spec.formula, cur, ctx.d.n)
         rows = ctx.d.column(name).observed if model is None else slice(None)
-        fit = spec.model.fit(X[rows], cur[name][rows], warm.get(name))
-        phi = spec.model.posterior(fit, rng)
+        Xr, yr = X[rows], cur[name][rows]
+        fit = spec.model.fit(Xr, yr, warm.get(name))
+        phi = spec.model.draw(fit, Xr, yr, rng)
         warm[name] = fit.beta
         diag.record_trace(imp, sweep, f"phi[{name}]", spec.formula.labels(), phi.beta)
         miss = ctx.missing_idx[name]

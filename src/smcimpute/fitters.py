@@ -40,13 +40,11 @@ __all__ = [
     "fit_linear",
     "draw_linear_posterior",
     "fit_logistic",
-    "draw_glm_posterior",
     "run_lengths",
     "cox_layout",
     "fit_cox",
     "breslow_baseline",
     "nelson_aalen",
-    "draw_cox_posterior",
     "logistic_loglik",
     "cox_loglik",
     "multivariate_normal_draw",
@@ -236,11 +234,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
     return NewtonFit(beta=beta, covariance=cov, iterations=iterations)
 
 
-def draw_glm_posterior(fit: NewtonFit, rng) -> np.ndarray:
-    """Asymptotic-normal posterior draw: N(MLE, inverse observed information)."""
-    return multivariate_normal_draw(fit.beta, fit.covariance, rng)
-
-
 # ---------------------------------------------------------------------------
 # step cumulative hazard
 
@@ -412,14 +405,3 @@ def nelson_aalen(time, event) -> StepCumHazard:
     """Marginal cumulative hazard: jump d_t / n_t at each event time."""
     return breslow_baseline(np.zeros((np.size(time), 0)), time, event, np.zeros(0))
 
-
-def draw_cox_posterior(fit: NewtonFit, X, layout: CoxLayout,
-                       rng) -> tuple[np.ndarray, StepCumHazard]:
-    """beta* ~ N(beta, covariance); baseline re-estimated by Breslow at beta*
-    on the fitted response's `layout`.
-
-    No posterior uncertainty is attached to the baseline itself beyond its
-    re-evaluation at the drawn coefficients.
-    """
-    beta_star = multivariate_normal_draw(fit.beta, fit.covariance, rng)
-    return beta_star, breslow_baseline(X, layout.time, layout.event, beta_star, layout=layout)

@@ -19,11 +19,12 @@ A family object (registered in FAMILIES under its public name) owns
 everything that differs between families: preparing the response once per
 run, the warm-started fit, the posterior draw, the response parts of a set
 of rows, the log acceptance ratio, and the reference quantile of a
-complete-data interval.  Every draw is a `Params`.  The normal linear and
-logistic objects are also the covariate models: a `CovariateModelSpec`
-holds one with its formula, and adds a posterior draw and direct sampling.
-Methods call the fitters through this module's globals, so a wrapper
-rebound there sees every call.
+complete-data interval.  `draw(fit, X, response, rng)` is the one posterior
+draw, a `Params`, for an outcome model's psi and a covariate model's phi
+alike.  The normal linear and logistic objects are also the covariate
+models: a `CovariateModelSpec` holds one with its formula, and they add
+direct sampling.  Methods call the fitters through this module's globals,
+so a wrapper rebound there sees every call.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from .dataset import DataError, VariableKind
 from .fitters import (
     FitError,
     StepCumHazard,
+    breslow_baseline,
     cox_layout,
-    draw_cox_posterior,
-    draw_glm_posterior,
     draw_linear_posterior,
     fit_cox,
     fit_linear,
     fit_logistic,
+    multivariate_normal_draw,
 )
 from .formula import FormulaError, ModelFormula, Term, design_matrix, response_arrays
 
@@ -144,13 +145,9 @@ class Family:
         """MLE, warm-started at `warm` where the fitter iterates; FitError on failure."""
         raise NotImplementedError
 
-    def posterior(self, fit, rng) -> Params:
-        """One posterior draw of a covariate model's parameters."""
-        raise NotImplementedError
-
     def draw(self, fit, X, response, rng) -> Params:
-        """One draw of the outcome-model parameters from their posterior."""
-        return self.posterior(fit, rng)
+        """One posterior draw of the parameters given the fit to (X, response)."""
+        raise NotImplementedError
 
     def y_parts(self, formula: ModelFormula, psi: Params, cols, rows) -> tuple:
         """The response quantities the acceptance ratio needs, for `rows`."""
@@ -175,18 +172,10 @@ class NormalLinear(Family):
     def fit(self, X, response, warm=None):
         return fit_linear(X, response)
 
-    def posterior(self, fit, rng):
-        """sigma2 is 0 after a perfect fit."""
-        beta, sigma2 = draw_linear_posterior(fit, rng)
-        return Params(beta, sigma2)
-
     def draw(self, fit, X, response, rng):
-        params = self.posterior(fit, rng)
-        # the acceptance ratio divides by sigma2; as a covariate model a zero
-        # variance is fine and sampling returns the mean
-        if params.sigma2 <= 0:
-            raise FitError("degenerate residual variance in substantive draw")
-        return params
+        """sigma2 is 0 after a perfect fit: a covariate model then samples its
+        mean, and an outcome model's acceptance ratio raises FitError."""
+        return Params(*draw_linear_posterior(fit, rng))
 
     def log_ratio(self, psi, parts, g):
         return log_ratio_normal(*parts, g, psi.sigma2)
@@ -214,8 +203,8 @@ class Logistic(Family):
     def fit(self, X, response, warm=None):
         return fit_logistic(X, response, beta0=warm)
 
-    def posterior(self, fit, rng):
-        return Params(draw_glm_posterior(fit, rng))
+    def draw(self, fit, X, response, rng):
+        return Params(multivariate_normal_draw(fit.beta, fit.covariance, rng))
 
     def log_ratio(self, psi, parts, g):
         return log_ratio_discrete(*parts, g)
@@ -241,7 +230,9 @@ class Cox(Family):
         return fit_cox(X, response.time, response.event, beta0=warm, layout=response)
 
     def draw(self, fit, X, response, rng):
-        beta, baseline = draw_cox_posterior(fit, X, response, rng)
+        """beta from N(MLE, covariance); the baseline is Breslow at that beta."""
+        beta = multivariate_normal_draw(fit.beta, fit.covariance, rng)
+        baseline = breslow_baseline(X, response.time, response.event, beta, layout=response)
         return Params(beta, baseline=baseline)
 
     def y_parts(self, formula, psi, cols, rows):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,33 @@ def test_analyze_pipeline_recovers_quadratic_coefficient(quad_files):
     rows = {r["term"]: r for r in read_rows(pooled)}
     row = rows["x^2"]
     assert float(row["ci_low"]) <= 1.0 <= float(row["ci_high"])
+
+
+def test_impute_and_analyze_outputs_take_the_umask(quad_files):
+    tmp, data, schema = quad_files
+    previous = os.umask(0o022)
+    try:
+        assert run(impute_args(data, schema, tmp / "imp.csv", m=2)) == 0
+        assert run(["analyze", "--data", tmp / "imp.csv", "--schema", schema,
+                    "--family", "linear", "--smodel", "y ~ x + x^2",
+                    "--out", tmp / "pooled.csv"]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("imp.csv", "imp.csv.diag.csv", "pooled.csv"):
+        assert (tmp / name).stat().st_mode & 0o777 == 0o644
+
+
+def test_impute_refuses_an_out_whose_diagnostics_path_is_a_directory(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "imp.csv.diag.csv").mkdir()
+    argv = ["impute", "--data", "absent.csv", "--schema", "absent.csv", "--method", "fcs",
+            "--out", "imp.csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --out: ") and "OUT.diag.csv" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "imp.csv").exists()
 
 
 def test_analyze_single_imputation_is_usage_error(quad_files, tmp_path):

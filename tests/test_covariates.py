@@ -1,7 +1,7 @@
 """The covariate models: a spec's family object fits, draws and samples.
 
 Each test goes through the calls the engines make: the spec's design
-(`spec.formula` on the data), `spec.model.fit` and `.posterior`, then
+(`spec.formula` on the data), `spec.model.fit` and `.draw`, then
 `.sample` or `.log_ratio` at the rows' linear predictor.
 """
 
@@ -50,7 +50,7 @@ def spec_design(spec, d):
 
 def fit_and_draw(spec, X, y, rng):
     """One fit and posterior draw of the covariate model, as each sweep takes it."""
-    return spec.model.posterior(spec.model.fit(X, y), rng)
+    return spec.model.draw(spec.model.fit(X, y), X, y, rng)
 
 
 def sample(spec, params, z, rng, size):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,21 @@ def test_round_trip_keeps_extreme_values_and_missing_cells(values, observed, tmp
         assert d.column(name).values.tobytes() == back.column(name).values.tobytes()
 
 
+def test_one_column_round_trip_keeps_a_missing_cell(tmp_path):
+    obs = np.array([True, False, True])
+    d = make_dataset([("a", C, PART, np.array([1.5, np.nan, -2.0]), obs)])
+    path = tmp_path / "d.csv"
+    write_csv(d, path)
+    assert path.read_text() == 'a\n1.5\n""\n-2.0\n'
+    back = read_csv(path, [("a", C, PART)])
+    assert np.array_equal(back.column("a").observed, obs)
+    assert back.column("a").values.tobytes() == d.column("a").values.tobytes()
+    # a blank line in a data file stays an error
+    path.write_text("a\n1.5\n\n-2.0\n")
+    with pytest.raises(DataError, match="row 3 has 0 cells, expected 1"):
+        read_csv(path, [("a", C, PART)])
+
+
 def test_read_csv_rejects_repeated_header_name(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,a,b,y\n1.0,2.0,0,0.5\n")
@@ -194,6 +211,19 @@ def test_atomic_write_text_joins_chunks(tmp_path):
     assert target.read_text() == "a,b\n1,2\n"
     atomic_write_text(target, "whole\n")
     assert target.read_text() == "whole\n"
+
+
+def test_atomic_write_text_gives_the_mode_of_a_new_file_under_the_umask(tmp_path):
+    target = tmp_path / "out.csv"
+    previous = os.umask(0o022)
+    try:
+        atomic_write_text(target, "a\n")
+        assert target.stat().st_mode & 0o777 == 0o644
+        os.umask(0o077)
+        atomic_write_text(target, "b\n")  # replacing a file applies the umask again
+        assert target.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(previous)
 
 
 # a completed view is Dataset.with_values, as the engines build their results

@@ -500,6 +500,25 @@ def test_persistent_fit_failure_aborts():
         run_fcs(d, cfg)
 
 
+def test_a_perfect_fit_outcome_fails_the_run_at_the_acceptance_ratio():
+    # y is exactly linear in the complete z, so every outcome draw has
+    # sigma2 = 0, and the acceptance ratio that divides by it refuses it
+    rng = np.random.default_rng(3)
+    n = 40
+    z = rng.normal(size=n)
+    obs = rng.random(n) < 0.7
+    d = dataset([
+        ("x", C, PART, np.where(obs, rng.normal(size=n), np.nan), obs),
+        ("z", C, COMP, z, np.ones(n)),
+        ("y", C, OUT, 1.0 + 2.0 * z, np.ones(n)),
+    ])
+    cfg = smcfcs_quadratic_config(
+        m=1, iterations=1, substantive=("normal_linear", parse_formula("y ~ x + z")),
+        covariate_specs=(CovariateModelSpec("x", "normal_linear", predictors=(Term((("z", 1),)),)),))
+    with pytest.raises(EngineFailure, match="sigma2 must be positive"):
+        run_smcfcs(d, cfg)
+
+
 def test_default_covariate_specs_shapes():
     rng = np.random.default_rng(13)
     n = 25
@@ -599,11 +618,12 @@ def chain_output(result, imp):
             [row for row in result.diagnostics.traces if row[0] == imp])
 
 
-def fail_nth_posterior(monkeypatch, n):
-    """Make the n-th NormalLinear.posterior draw of the next run raise FitError."""
+def fail_nth_draw(monkeypatch, n):
+    """Make the n-th NormalLinear.draw of the next run, outcome or covariate
+    model, raise FitError."""
     from smcimpute.substantive import NormalLinear
 
-    real = NormalLinear.posterior
+    real = NormalLinear.draw
     calls = {"n": 0}
 
     def fail_nth_call(*args, **kwargs):
@@ -612,7 +632,7 @@ def fail_nth_posterior(monkeypatch, n):
             raise FitError("forced")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(NormalLinear, "posterior", fail_nth_call)
+    monkeypatch.setattr(NormalLinear, "draw", fail_nth_call)
 
 
 @pytest.mark.parametrize("method", ["fcs", "smcfcs"])
@@ -633,7 +653,7 @@ def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
     # the outcome and the covariate draw once each per sweep, so the third
     # draw is chain 1's outcome draw in sweep 2, after one sweep has been
     # recorded
-    fail_nth_posterior(monkeypatch, 3)
+    fail_nth_draw(monkeypatch, 3)
     result = run_smcfcs(d, cfg)
     diag = result.diagnostics
     assert clean.diagnostics.retries == 0
@@ -651,7 +671,7 @@ def test_one_fit_failure_retries_and_rolls_back_diagnostics(monkeypatch):
 def test_a_retry_in_chain_1_leaves_chain_2_unchanged_under_fcs(monkeypatch):
     d = quadratic_data(n=120, seed=4)
     clean = run_quadratic("fcs", d, m=2, iterations=4)
-    fail_nth_posterior(monkeypatch, 2)  # chain 1's covariate draw in sweep 2
+    fail_nth_draw(monkeypatch, 2)  # chain 1's covariate draw in sweep 2
     result = run_quadratic("fcs", d, m=2, iterations=4)
     assert (clean.diagnostics.retries, result.diagnostics.retries) == (0, 1)
     assert chain_output(result, 2) == chain_output(clean, 2)

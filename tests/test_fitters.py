@@ -18,8 +18,6 @@ from smcimpute.fitters import (
     breslow_baseline,
     cox_layout,
     cox_loglik,
-    draw_cox_posterior,
-    draw_glm_posterior,
     draw_linear_posterior,
     fit_cox,
     fit_linear,
@@ -28,8 +26,11 @@ from smcimpute.fitters import (
     multivariate_normal_draw,
     nelson_aalen,
 )
+from smcimpute.substantive import FAMILIES
 
 rng0 = np.random.default_rng  # shorthand
+
+LOGISTIC, COX = FAMILIES["logistic"], FAMILIES["cox"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +234,17 @@ def test_glm_posterior_covariance_matches_fit():
     y = (rng.random(n) < expit(X @ np.array([0.3, 0.8]))).astype(float)
     fit = fit_logistic(X, y)
     gen = rng0(5)
-    draws = np.array([draw_glm_posterior(fit, gen) for _ in range(10_000)])
+    draws = np.array([LOGISTIC.draw(fit, X, y, gen).beta for _ in range(10_000)])
     emp = np.cov(draws.T)
     np.testing.assert_allclose(emp, fit.covariance, rtol=0.10)
 
 
 def test_glm_posterior_seed_reproducible():
-    fit = fit_logistic(np.column_stack([np.ones(4), [0.0, 1.0, 1.0, 2.0]]),
-                       np.array([0.0, 0.0, 1.0, 1.0]))
-    a = draw_glm_posterior(fit, rng0(42))
-    b = draw_glm_posterior(fit, rng0(42))
+    X = np.column_stack([np.ones(4), [0.0, 1.0, 1.0, 2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    fit = fit_logistic(X, y)
+    a = LOGISTIC.draw(fit, X, y, rng0(42)).beta
+    b = LOGISTIC.draw(fit, X, y, rng0(42)).beta
     np.testing.assert_array_equal(a, b)
 
 
@@ -443,10 +445,10 @@ def test_draw_cox_posterior_tiny_covariance_reproduces_fit():
     layout = cox_layout(time, event)
     fit = fit_cox(X, time, event, layout=layout)
     shrunk = replace(fit, covariance=fit.covariance * 1e-20)
-    beta, baseline = draw_cox_posterior(shrunk, X, layout, rng0(11))
-    np.testing.assert_allclose(beta, fit.beta, atol=1e-8)
+    psi = COX.draw(shrunk, X, layout, rng0(11))
+    np.testing.assert_allclose(psi.beta, fit.beta, atol=1e-8)
     at_mle = breslow_baseline(X, time, event, fit.beta, layout=layout)
-    np.testing.assert_allclose(baseline.cumvals, at_mle.cumvals, rtol=1e-6)
+    np.testing.assert_allclose(psi.baseline.cumvals, at_mle.cumvals, rtol=1e-6)
 
 
 def test_draw_cox_posterior_baseline_tracks_drawn_beta():
@@ -456,10 +458,13 @@ def test_draw_cox_posterior_baseline_tracks_drawn_beta():
     time = rng.exponential(1.0, n) + 1e-3
     event = np.ones(n)
     fit = fit_cox(X, time, event)
-    beta, baseline = draw_cox_posterior(fit, X, cox_layout(time, event), rng0(13))
-    assert beta[0] != fit.beta[0]
-    recomputed = breslow_baseline(X, time, event, beta)
-    np.testing.assert_array_equal(baseline.cumvals, recomputed.cumvals)
+    layout = cox_layout(time, event)
+    psi = COX.draw(fit, X, layout, rng0(13))
+    assert psi.beta[0] != fit.beta[0]
+    for recomputed in (breslow_baseline(X, time, event, psi.beta),
+                       breslow_baseline(X, time, event, psi.beta, layout=layout)):
+        assert psi.baseline.knots.tobytes() == recomputed.knots.tobytes()
+        assert psi.baseline.cumvals.tobytes() == recomputed.cumvals.tobytes()
 
 
 def test_draw_cox_posterior_seed_reproducible():
@@ -470,9 +475,10 @@ def test_draw_cox_posterior_seed_reproducible():
     event = np.ones(n)
     fit = fit_cox(X, time, event)
     layout = cox_layout(time, event)
-    a = draw_cox_posterior(fit, X, layout, rng0(15))
-    b = draw_cox_posterior(fit, X, layout, rng0(15))
-    np.testing.assert_array_equal(a[0], b[0])
+    a = COX.draw(fit, X, layout, rng0(15))
+    b = COX.draw(fit, X, layout, rng0(15))
+    np.testing.assert_array_equal(a.beta, b.beta)
+    np.testing.assert_array_equal(a.baseline.cumvals, b.baseline.cumvals)
 
 
 def test_cox_prepared_layout_gives_bit_identical_results():
@@ -502,10 +508,10 @@ def test_cox_prepared_layout_gives_bit_identical_results():
     same(breslow_baseline(X, time, event, beta).cumvals,
          breslow_baseline(X, time, event, beta, layout=layout).cumvals)
     # the posterior draw re-estimates the baseline on the layout it is given
-    a = draw_cox_posterior(prepared, X, layout, rng0(17))
+    psi = COX.draw(prepared, X, layout, rng0(17))
     beta_star = multivariate_normal_draw(prepared.beta, prepared.covariance, rng0(17))
-    same(a[0], beta_star)
-    same(a[1].cumvals, breslow_baseline(X, time, event, beta_star).cumvals)
+    same(psi.beta, beta_star)
+    same(psi.baseline.cumvals, breslow_baseline(X, time, event, beta_star).cumvals)
 
 
 def _cox_terms_reference(xs, layout, beta):

@@ -203,15 +203,13 @@ def test_draw_substantive_normal_perfect_fit_degenerate():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     d = _complete_ds([("x", C, PART, x), ("y", C, OUT, 2.0 + 3.0 * x)])
     f = parse_formula("y ~ x")
-    # the outcome role rejects a zero residual variance: the ratio divides by it
-    with pytest.raises(FitError, match="degenerate residual variance"):
-        fit_and_draw("normal_linear", f, d, np.random.default_rng(0))
-    # the covariate role keeps the degenerate draw (beta, 0)
-    model = FAMILIES["normal_linear"]
-    fit = model.fit(design_matrix(f, d), model.prepare(*response_arrays(f, d)))
-    params = model.posterior(fit, np.random.default_rng(0))
+    # one draw for both roles: the degenerate draw (beta, 0)
+    params = fit_and_draw("normal_linear", f, d, np.random.default_rng(0))
     np.testing.assert_allclose(params.beta, [2.0, 3.0], atol=1e-10)
     assert params.sigma2 == 0.0
+    # the outcome role's acceptance ratio divides by sigma2, and refuses it
+    with pytest.raises(FitError, match="sigma2 must be positive"):
+        FAMILIES["normal_linear"].log_ratio(params, (d.column("y").values,), x)
 
 
 def test_draw_substantive_cox_baseline_jumps_at_event_times():
