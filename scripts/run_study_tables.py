@@ -2,8 +2,8 @@
 """Run the builtin simulation studies and print summary tables.
 
 By default runs every builtin scenario, study by study, at desk scale (200
-replications); pass --full for 1000 replications, or --scenario to run a
-single one.  Each study's table shows the coefficients its `Study` record in
+replications); pass --reps 1000 for the full tables, or --scenario to run
+a single one.  Each study's table shows the coefficients its `Study` record in
 `smcimpute.simlab.STUDIES` reports.  True coefficient values are 1 for every
 reported parameter, so bias reads directly off the mean column.
 """
@@ -19,16 +19,14 @@ def main():
     catalog = builtin_scenarios()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--reps", type=int, default=200)
-    ap.add_argument("--full", action="store_true", help="use 1000 replications")
     ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--seed", type=int, default=20120601)
     ap.add_argument("--scenario", choices=catalog, metavar="NAME",
                     help="run a single builtin scenario")
     args = ap.parse_args()
-    reps = 1000 if args.full else args.reps
 
     for name in [args.scenario] if args.scenario else catalog:
-        cfg = replace(catalog[name], reps=reps, seed=args.seed)
+        cfg = replace(catalog[name], reps=args.reps, seed=args.seed)
         t0 = time.time()
         summary = run_scenario(cfg, threads=args.threads)
         elapsed = time.time() - t0

@@ -125,6 +125,8 @@ def read_schema(path):
             _fail("--schema", str(exc))
         if row["name"] in ("_imp", CUMHAZ):
             _fail("--schema", f"column name {row['name']} is reserved")
+        if any(row["name"] == entry[0] for entry in schema):
+            _fail("--schema", f"column {row['name']} is named twice")
         schema.append((row["name"], kind, role))
     if not schema:
         _fail("--schema", "no columns defined")

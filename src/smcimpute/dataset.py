@@ -309,7 +309,4 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
 
 def missingness_order(d: Dataset) -> list[str]:
     """Partial covariates ordered by ascending missing count (ties keep schema order)."""
-    partial = d.partial_covariates()
-    if not partial:
-        raise DataError("dataset has no partial covariates")
-    return [c.name for c in sorted(partial, key=lambda c: c.n_missing)]
+    return [c.name for c in sorted(d.partial_covariates(), key=lambda c: c.n_missing)]

@@ -282,7 +282,7 @@ def _materialize_term(d: Dataset, name, term: Term) -> Dataset:
 
 def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     d = _with_cumhaz(d, config)
-    sampled = _missingness_order(d) if d.partial_covariates() else []
+    sampled = _missingness_order(d)
 
     specs: dict[str, CovariateModelSpec] = {}
     for spec in config.covariate_specs:
@@ -301,6 +301,10 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         for c in d.columns
         if c.role in (VariableRole.OUTCOME, VariableRole.TIME, VariableRole.EVENT)
     }
+    if config.method == "smcfcs":
+        # the substantive response is an outcome whatever role the schema gives it
+        response = config.substantive[1].response
+        outcome_names.update(response if isinstance(response, tuple) else (response,))
     for name, spec in specs.items():
         col = d.column(name)
         if spec.model.binary != (col.kind is VariableKind.BINARY):

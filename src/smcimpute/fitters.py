@@ -133,6 +133,7 @@ class NewtonFit:
     beta: np.ndarray
     covariance: np.ndarray  # inverse observed information at the MLE
     iterations: int
+    df = np.inf  # an interval takes the normal quantile, t_quantile(inf, p)
 
     def coef_variances(self) -> np.ndarray:
         return np.diag(self.covariance)
@@ -157,8 +158,13 @@ class LinearFit:
     k: int
 
     @property
+    def df(self) -> int:
+        """Residual degrees of freedom, n - k: of sigma2, and of an interval's t quantile."""
+        return self.n - self.k
+
+    @property
     def sse(self) -> float:
-        return self.sigma2 * (self.n - self.k)
+        return self.sigma2 * self.df
 
     def coef_variances(self) -> np.ndarray:
         return self.sigma2 * np.diag(self.xtx_inverse)
@@ -190,12 +196,11 @@ def draw_linear_posterior(fit: LinearFit, rng) -> tuple[np.ndarray, float]:
     sigma2* = SSE / chi-square(n-k) draw, then beta* ~ N(beta, sigma2* (X'X)^-1).
     A perfect fit (SSE = 0) degenerates to (beta, 0).
     """
-    nu = fit.n - fit.k
-    if nu <= 0:
+    if fit.df <= 0:
         raise FitError("posterior draw needs n > k")
     if fit.sse == 0.0:
         return fit.beta.copy(), 0.0
-    sigma2 = fit.sse / rng.chisquare(nu)
+    sigma2 = fit.sse / rng.chisquare(fit.df)
     beta = multivariate_normal_draw(fit.beta, sigma2 * fit.xtx_inverse, rng)
     return beta, float(sigma2)
 

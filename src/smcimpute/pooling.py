@@ -3,8 +3,8 @@
 Point estimate: mean of the M per-imputation estimates.  Variance: mean
 within-imputation variance plus (1 + 1/M) times the between-imputation
 sample variance.  Degrees of freedom follow the classical large-sample
-formula (M - 1)(1 + W / ((1 + 1/M) B))^2; when B = 0 they are infinite and
-the interval falls back to normal quantiles.
+formula (M - 1)(1 + W / ((1 + 1/M) B))^2; when B = 0 they are infinite,
+and t_quantile at infinite df is the normal quantile.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import normal_quantile, t_quantile
+from ._special import t_quantile
 from .fitters import FitError
-from .formula import ModelFormula, response_arrays
-from .substantive import outcome_family, substantive_estimates
+from .formula import ModelFormula, design_matrix, response_arrays
+from .substantive import outcome_family
 
 __all__ = ["PooledEstimate", "PoolError", "fit_each", "pool"]
 
@@ -70,9 +70,9 @@ def fit_each(result, family: str, formula: ModelFormula):
         try:
             if arrays is None or not all(map(np.array_equal, current, arrays)):
                 response, arrays = model.prepare(*current), current
-            est, var = substantive_estimates(family, formula, d, response)
-            estimates.append(est)
-            variances.append(var)
+            fit = model.fit(design_matrix(formula, d), response)
+            estimates.append(fit.beta)
+            variances.append(fit.coef_variances())
         except FitError:
             failed.append(index)
     if failed:
@@ -109,9 +109,7 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
         df = (m - 1) * (1.0 + ratio) ** 2
 
     alpha = 0.5 * (1.0 + level)
-    quantile = np.array([normal_quantile(alpha) if b == 0.0 else t_quantile(nu, alpha)
-                         for b, nu in zip(between, df)])
-    half = quantile * np.sqrt(total)
+    half = np.array([t_quantile(nu, alpha) for nu in df]) * np.sqrt(total)
     labels = tuple(terms) if terms is not None else tuple(f"b{i}" for i in range(point.size))
     return PooledEstimate(
         terms=labels,

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._special import expit
+from ._special import expit, t_quantile
 from .dataset import Column, Dataset, VariableKind, VariableRole, DataError, check_csv_name
 from .engines import (
     CUMHAZ,
@@ -168,7 +168,7 @@ _OUTCOMES = {"normal_linear": _normal_outcome, "cox": _cox_outcome}
 # methods: (cfg, family, formula, masked data, seed sequence) -> pooled
 # estimates and the low and high ends of their 95% intervals
 
-def _complete_case(family, formula, d: Dataset, level=0.95):
+def _complete_case(family, formula, d: Dataset):
     keep = np.ones(d.n, dtype=bool)
     for col in d.partial_covariates():
         keep &= col.observed
@@ -177,7 +177,7 @@ def _complete_case(family, formula, d: Dataset, level=0.95):
     model = FAMILIES[family]
     fit = model.fit(X, model.prepare(*(r[keep] for r in response_arrays(formula, d))))
     se = np.sqrt(fit.coef_variances())
-    q = model.quantile(fit, 0.5 * (1.0 + level))
+    q = t_quantile(fit.df, 0.975)
     return fit.beta, fit.beta - q * se, fit.beta + q * se
 
 
@@ -494,10 +494,11 @@ class ScenarioConfig:
         if self.methods is None:
             object.__setattr__(self, "methods", tuple(
                 method for method in ("fcs_linear", "jav", "smcfcs") if method in study.methods))
-        if not isinstance(self.methods, (list, tuple)) or not all(
-            isinstance(method, str) for method in self.methods
-        ):
-            raise ValueError(f"methods must be a list of method names, not {self.methods!r}")
+        if not (isinstance(self.methods, (list, tuple)) and self.methods
+                and all(isinstance(method, str) for method in self.methods)
+                and len(set(self.methods)) == len(self.methods)):
+            raise ValueError("methods must be a non-empty list of distinct method names, "
+                             f"not {self.methods!r}")
         unknown = [method for method in self.methods if method not in study.methods]
         if unknown:
             raise ValueError(f"method {unknown[0]!r} is not defined for the {self.dgp} study")
@@ -576,15 +577,18 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:
     """Run every replication, excluding a replication entirely if any method fails.
 
     The MAR observation model is calibrated once, here, and passed to every
-    replication.  With threads > 1 replications run in worker processes;
-    results are identical to a sequential run because random streams are
-    indexed by replication, not by worker.
+    replication.  With threads > 1 and more than one replication, they run
+    in min(threads, reps) worker processes; results are identical to a
+    sequential run because random streams are indexed by replication, not
+    by worker.
     """
     mar_alpha = mar_intercept(cfg.dgp, cfg.variant, cfg.p_obs) if cfg.mechanism == "mar" else None
-    if threads > 1:
+    # a fork-started pool starts every worker at once, so none beyond the replications
+    workers = min(threads, cfg.reps)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool_:
+        with ProcessPoolExecutor(max_workers=workers) as pool_:
             results = list(pool_.map(_run_replication, repeat(cfg), repeat(mar_alpha),
                                      range(cfg.reps), chunksize=8))
     else:

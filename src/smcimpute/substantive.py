@@ -18,13 +18,12 @@ log form for exact enumeration of binary covariates.
 A family object (registered in FAMILIES under its public name) owns
 everything that differs between families: preparing the response once per
 run, the warm-started fit, the posterior draw, the response parts of a set
-of rows, the log acceptance ratio, and the reference quantile of a
-complete-data interval.  `draw(fit, X, response, rng)` is the one posterior
-draw, a `Params`, for an outcome model's psi and a covariate model's phi
-alike.  The normal linear and logistic objects are also the covariate
-models: a `CovariateModelSpec` holds one with its formula, and they add
-direct sampling.  Methods call the fitters through this module's globals,
-so a wrapper rebound there sees every call.
+of rows, and the log acceptance ratio.  `draw(fit, X, response, rng)` is
+the one posterior draw, a `Params`, for an outcome model's psi and a
+covariate model's phi alike.  The normal linear and logistic objects are
+also the covariate models: a `CovariateModelSpec` holds one with its
+formula, and they add direct sampling.  Methods call the fitters through
+this module's globals, so a wrapper rebound there sees every call.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._special import expit, log_expit, normal_quantile, t_quantile
+from ._special import expit, log_expit
 from .dataset import DataError, VariableKind
 from .fitters import (
     FitError,
@@ -46,7 +45,7 @@ from .fitters import (
     fit_logistic,
     multivariate_normal_draw,
 )
-from .formula import FormulaError, ModelFormula, Term, design_matrix, response_arrays
+from .formula import FormulaError, ModelFormula, Term
 
 __all__ = [
     "FAMILIES",
@@ -62,7 +61,6 @@ __all__ = [
     "log_ratio_normal",
     "log_ratio_discrete",
     "log_ratio_cox",
-    "substantive_estimates",
 ]
 
 
@@ -157,10 +155,6 @@ class Family:
         """Log acceptance ratio at linear predictor `g`."""
         raise NotImplementedError
 
-    def quantile(self, fit, alpha):
-        """Reference quantile at `alpha` for an interval from one complete-data fit."""
-        return normal_quantile(alpha)
-
 
 class NormalLinear(Family):
     name = "normal_linear"
@@ -179,9 +173,6 @@ class NormalLinear(Family):
 
     def log_ratio(self, psi, parts, g):
         return log_ratio_normal(*parts, g, psi.sigma2)
-
-    def quantile(self, fit, alpha):
-        return t_quantile(fit.n - fit.k, alpha)
 
     def sample(self, params, mu, rng):
         """Covariate values drawn given their linear predictor `mu`."""
@@ -295,16 +286,3 @@ class CovariateModelSpec:
             raise DataError(f"unknown target column {formula.response!r}")
         return cls(formula.response, covariate_family(d.column(formula.response).kind),
                    formula.terms, formula.intercept)
-
-
-def substantive_estimates(family: str, formula: ModelFormula, d, response=None):
-    """(estimate vector, squared-standard-error vector) of one completed-data fit.
-
-    `response` is the family's prepared response of d; None prepares it here.
-    """
-    model = outcome_family(family, formula)
-    X = design_matrix(formula, d)
-    if response is None:
-        response = model.prepare(*response_arrays(formula, d))
-    fit = model.fit(X, response)
-    return fit.beta.copy(), fit.coef_variances().copy()

@@ -394,6 +394,7 @@ def test_simulate_negative_seed_names_the_seed_flag(tmp_path, capsys):
     ("m", 1), ("seed", -1), ("seed", True),
     ("p_obs", "x"), ("dgp", 3), ("variant", ["normal"]), ("mechanism", None), ("name", 7),
     ("variant", "bvnormal"),  # a variant of another study: the cox study has none
+    ("methods", []), ("methods", ["cc", "cc"]),
 ])
 def test_simulate_bad_scenario_json_field_is_usage_error(tmp_path, capsys, field, value):
     raw = {"dgp": "cox", "variant": None, "mechanism": "mcar", "n": 200,
@@ -420,6 +421,29 @@ def test_impute_data_error_under_default_specs_names_the_schema_flag(tmp_path, c
     err = capsys.readouterr().err
     assert "--schema: covariate model conditions on _cumhaz" in err
     assert "--covmodel" not in err
+
+
+def test_schema_that_names_a_column_twice_is_refused_as_a_schema_error(quad_files, capsys):
+    tmp, data, schema = quad_files
+    schema.write_text(SCHEMA + "y,continuous,outcome\n")
+    out = tmp / "o.csv"
+    assert run(impute_args(data, schema, out, method="fcs")) == 2
+    assert capsys.readouterr().err == "error: --schema: column y is named twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("covmodel, flag", [((), "--schema"), (("--covmodel", "x ~ y"),
+                                                               "--covmodel")])
+def test_impute_smcfcs_covariate_model_may_not_condition_on_the_response(quad_files, capsys,
+                                                                        covmodel, flag):
+    # y is declared a complete covariate, but the outcome model makes it the response
+    tmp, data, schema = quad_files
+    schema.write_text(SCHEMA.replace("y,continuous,outcome", "y,continuous,complete_covariate"))
+    out = tmp / "o.csv"
+    assert run(impute_args(data, schema, out, extra=covmodel)) == 2
+    assert capsys.readouterr().err == (f"error: {flag}: smcfcs covariate model for x must not "
+                                       "condition on outcome-derived column 'y'\n")
+    assert not out.exists()
 
 
 def test_schema_reserves_the_cumhaz_column(tmp_path, capsys):
@@ -854,7 +878,9 @@ BAD_SCENARIO_FIELDS = {
     "name": st.one_of(NOT_A_STRING, st.sampled_from(["a,b", 'a"b', "a\nb"])),
     "methods": st.one_of(NOT_A_STRING.filter(lambda v: not isinstance(v, list)),
                          st.lists(JSON.filter(lambda v: v not in ("cc", "fcs_linear", "smcfcs")),
-                                  min_size=1, max_size=3)),
+                                  min_size=1, max_size=3),
+                         st.just([]), st.sampled_from(["cc", "fcs_linear", "smcfcs"]).map(
+                             lambda method: [method, method])),
 }
 
 

@@ -272,6 +272,12 @@ def test_missingness_order_tie_keeps_schema_order():
     assert missingness_order(d) == ["x1", "x2"]
 
 
+def test_missingness_order_of_a_dataset_with_no_partial_covariate_is_empty():
+    d = make_dataset([("z", C, COMP, [1.0, 2.0], [True, True]),
+                      ("y", C, OUT, [0.5, 1.5], [True, True])])
+    assert missingness_order(d) == []
+
+
 def test_missingness_order_single():
     d = make_dataset([("x", C, PART, [np.nan], [False])])
     assert missingness_order(d) == ["x"]

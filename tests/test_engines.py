@@ -401,6 +401,16 @@ def test_smcfcs_rejects_outcome_predictors():
         run_smcfcs(d, cfg)
 
 
+def test_smcfcs_rejects_a_covariate_model_on_a_response_the_schema_calls_a_covariate():
+    d0 = quadratic_data(seed=10)
+    y = d0.column("y")
+    d = Dataset((d0.column("x"), Column("y", C, COMP, y.values, y.observed)))
+    cfg = smcfcs_quadratic_config(covariate_specs=default_covariate_specs(d, "smcfcs"))
+    assert cfg.covariate_specs[0].formula.variables == ("y",)
+    with pytest.raises(DataError, match="must not condition on outcome-derived column 'y'"):
+        run_smcfcs(d, cfg)
+
+
 def test_smcfcs_rejects_a_response_with_missing_cells():
     # the outcome model's response is prepared once per run, so it must be observed
     d = quadratic_data(seed=10)

@@ -155,10 +155,9 @@ def _count_layout_builds(monkeypatch):
 
 
 def _per_dataset_fits(datasets, formula):
-    from smcimpute.substantive import substantive_estimates
-
-    fits = [substantive_estimates("cox", formula, d) for d in datasets]
-    return np.array([e for e, _ in fits]), np.array([v for _, v in fits])
+    """Each dataset pooled on its own, so each prepares its own response."""
+    fits = [fit_each([d], "cox", formula) for d in datasets]
+    return np.concatenate([e for e, _ in fits]), np.concatenate([v for _, v in fits])
 
 
 def test_fit_each_builds_one_cox_layout_for_imputations_sharing_the_response(monkeypatch):
@@ -211,7 +210,7 @@ def test_fit_each_perfect_fit_zero_variance():
 def test_intervals_use_quantiles_that_match_scipy_stats(level):
     rng = np.random.default_rng(3)
     est = rng.normal(size=(6, 4))
-    est[:, 1] = 0.5  # B = 0: normal-quantile branch
+    est[:, 1] = 0.5  # B = 0: infinite df, the normal quantile
     est[:, 2] = 1.0 + 1e-9 * np.arange(6)  # tiny B: df near 10^18
     var = rng.random((6, 4)) + 0.5
     p = pool(est, var, level=level)
@@ -219,8 +218,8 @@ def test_intervals_use_quantiles_that_match_scipy_stats(level):
     alpha = 0.5 * (1.0 + level)
     z = normal_quantile(alpha)
     assert abs(z - norm.ppf(alpha)) <= 2 * np.spacing(z)
-    q = np.array([z if b == 0.0 else t_quantile(df, alpha)
-                  for b, df in zip(p.between_var, p.df)])
+    q = np.array([t_quantile(df, alpha) for df in p.df])
+    assert p.df[1] == np.inf and q[1] == z
     np.testing.assert_allclose(q, t.ppf(alpha, p.df), rtol=1e-12, atol=0)
     half = q * np.sqrt(p.total_var)
     np.testing.assert_array_equal(p.ci_low, p.point - half)

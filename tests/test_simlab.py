@@ -14,6 +14,7 @@ from scipy.special import expit
 from scipy.stats import norm, t
 
 from smcimpute import simlab
+from smcimpute._special import t_quantile
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole
 from smcimpute.engines import EngineFailure
 from smcimpute.fitters import fit_cox, fit_linear, fit_logistic
@@ -37,7 +38,6 @@ from smcimpute.simlab import (
     run_scenario,
     scenario_truth,
 )
-from smcimpute.substantive import FAMILIES
 
 BIG = 1_000_000
 
@@ -227,6 +227,36 @@ def test_run_scenario_calibrates_the_mar_intercept_once(monkeypatch):
     assert calls == [("quadratic", "normal", 0.5)]
 
 
+@pytest.mark.parametrize("reps, threads, workers", [(1, 500, None), (3, 500, 3), (3, 2, 2),
+                                                    (5, 1, None)])
+def test_run_scenario_starts_no_more_workers_than_replications(monkeypatch, reps, threads,
+                                                                workers):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records its worker count and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = ScenarioConfig(dgp="quadratic", variant="normal", mechanism="mcar",
+                         n=60, reps=reps, m=2, methods=("cc",), seed=5)
+    assert run_scenario(cfg, threads=threads).n_used == reps
+    assert sizes == ([] if workers is None else [workers])
+
+
 def test_a_failed_method_drops_its_replication_from_every_row(monkeypatch):
     smcfcs, calls = simlab.METHODS["smcfcs"], []
 
@@ -373,7 +403,7 @@ def test_complete_case_intervals_use_quantiles_that_match_scipy_stats(family):
     beta, low, high = _complete_case(family, formula, d)
     fit, want = _scipy_stats_complete_case(family, formula, d)
     np.testing.assert_array_equal(beta, fit.beta)
-    q = FAMILIES[family].quantile(fit, 0.975)
+    q = t_quantile(fit.df, 0.975)
     if family == "normal_linear":
         assert q == pytest.approx(want, rel=1e-12)
     else:
@@ -501,6 +531,9 @@ def test_scenario_config_validation():
         ScenarioConfig(dgp="cox", variant=None, mechanism="mcar", methods=("jav",))
     with pytest.raises(ValueError, match="variant"):
         ScenarioConfig(dgp="cox", variant="bvnormal", mechanism="mcar", methods=("cc", "smcfcs"))
+    for methods in ((), ("cc", "cc"), ["smcfcs", "cc", "smcfcs"]):
+        with pytest.raises(ValueError, match="non-empty list of distinct method names"):
+            ScenarioConfig(dgp="cox", variant=None, mechanism="mcar", methods=methods)
 
 
 @pytest.mark.parametrize("dgp, variant, methods", [

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import norm, t
@@ -60,6 +60,18 @@ def test_t_quantile_is_finite_and_monotone_in_p(df, p, gap):
     assert math.isfinite(q)
     if p + gap < 1.0:
         assert t_quantile(df, p + gap) >= q
+
+
+@given(p=st.floats(0.0, 1.0))
+@example(p=0.0)
+@example(p=5e-324)
+@example(p=0.5)
+@example(p=0.975)
+@example(p=1.0)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_t_quantile_at_infinite_df_is_the_normal_quantile_bit_for_bit(p):
+    # every interval takes t_quantile(df, alpha), and a Newton fit's df is inf
+    assert t_quantile(math.inf, p) == normal_quantile(p)
 
 
 @given(df=st.floats(1.0, 1e18), p=st.floats(0.6, 0.9995))
