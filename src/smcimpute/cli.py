@@ -25,12 +25,11 @@ from .dataset import (
     Dataset,
     VariableKind,
     VariableRole,
-    atomic_write_text,
     check_csv_name,
-    format_rows,
     format_values,
     read_csv,
     read_table,
+    write_table,
 )
 from .engines import (
     CUMHAZ,
@@ -142,16 +141,15 @@ def _load_dataset(args, schema):
 
 
 def _write_long_csv(path, datasets, names):
-    def chunks():
-        yield ",".join(["_imp", *names]) + "\n"
+    def blocks():
         for index, d in enumerate(datasets, start=1):
             values = [d.column(name).values for name in names]
             for start in range(0, d.n, CHUNK_ROWS):
                 rows = slice(start, start + CHUNK_ROWS)
                 label = [str(index)] * (min(d.n, start + CHUNK_ROWS) - start)
-                yield format_rows([label] + [format_values(v[rows]) for v in values])
+                yield [label] + [format_values(v[rows]) for v in values]
 
-    atomic_write_text(path, chunks())
+    write_table(path, ["_imp", *names], blocks=blocks())
 
 
 def _read_long_csv(path, schema):
@@ -239,7 +237,7 @@ def cmd_impute(args) -> int:
         # with the default specs the data's columns are what the models lack
         _fail("--covmodel" if args.covmodel else "--schema", str(exc))
     _write_long_csv(args.out, result.datasets, d.names)
-    atomic_write_text(f"{args.out}.diag.csv", result.diagnostics.to_csv_text())
+    result.diagnostics.write_csv(f"{args.out}.diag.csv")
     for name in sorted(result.diagnostics.proposals):
         rate = result.diagnostics.mean_acceptance(name)
         print(f"{name}: mean acceptance {rate:.3f}, "
@@ -266,7 +264,7 @@ def cmd_analyze(args) -> int:
     except FormulaError as exc:
         _fail("--smodel", str(exc))
     pooled = pool(estimates, variances, level=args.level, terms=args.smodel.labels())
-    atomic_write_text(args.out, pooled.to_csv_text())
+    pooled.write_csv(args.out)
     return 0
 
 
@@ -312,7 +310,7 @@ def cmd_simulate(args) -> int:
 
     cfg = _load_scenario(args)
     summary = run_scenario(cfg, threads=args.threads)
-    atomic_write_text(args.out, summary.to_csv_text())
+    summary.write_csv(args.out)
     print(f"{cfg.name}: {summary.n_used}/{summary.n_reps} replications pooled",
           file=sys.stderr)
     return 0

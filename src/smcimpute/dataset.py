@@ -6,11 +6,11 @@ authoritative record of missingness: a completed view keeps mask entries
 False while carrying filled-in values.
 
 A column is checked once, when it is built: `Column.__post_init__` runs every
-per-column check (shape, NaN marked observed, 0/1 values of binary and event
-columns, positive times, no missing cells in a complete role).  A `Dataset`
-checks only what concerns its set of columns, unique names and equal
-lengths, so a dataset rebuilt from existing columns, such as a completed
-view, does not check them again.
+per-column check (shape, NaN marked observed, an infinite observed value,
+0/1 values of binary and event columns, positive times, no missing cells in
+a complete role).  A `Dataset` checks only what concerns its set of columns,
+unique names and equal lengths, so a dataset rebuilt from existing columns,
+such as a completed view, does not check them again.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "read_table",
     "read_csv",
     "format_values",
-    "format_rows",
+    "write_table",
     "write_csv",
     "missingness_order",
     "atomic_write_text",
@@ -92,6 +92,8 @@ class Column:
         filled = ~np.isnan(values)
         if np.any(~filled & observed):
             raise DataError(f"column {self.name}: NaN marked as observed")
+        if np.any(np.isinf(values[observed])):
+            raise DataError(f"column {self.name}: an observed value is infinite")
         if self.kind is VariableKind.BINARY and not _zero_one(values[filled]):
             raise DataError(f"binary column {self.name} contains values outside {{0, 1}}")
         if self.role is VariableRole.EVENT and not _zero_one(values[observed]):
@@ -246,44 +248,56 @@ def read_csv(
 
 
 def check_csv_name(what: str, name: str) -> None:
-    """ValueError unless `name` can be a CSV cell as written: the writers join
-    cells with commas and quote none, so a reader would split it."""
+    """ValueError unless `name` can be a CSV cell as written: write_table
+    quotes no cell, so a reader would split it."""
     if any(c in name for c in ',"\r\n'):
         raise ValueError(f"{what} {name!r} contains a comma, quote or line break")
 
 
 def format_values(values: np.ndarray) -> list[str]:
-    """The repr of each value, which reads back bit-exactly."""
+    """The repr of each value, which reads back bit-exactly: the cell rule of
+    write_table applied to a whole float column at once."""
     return list(map(repr, values.tolist()))
 
 
-def format_rows(columns: Sequence[Sequence[str]]) -> str:
-    """CSV lines, each ending in a newline, from equal-length columns of cells."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+def write_table(path, header, rows=(), blocks=()) -> None:
+    """Write a CSV file through atomic_write_text: the header, `rows`, then `blocks`.
+
+    This is the one writer of the package's CSV text.  The header and each row
+    are sequences of cells under one rule: a str is written as it is, a
+    number (a Python int or float) by its repr, which reads back bit-exactly.
+    A block is equal-length columns of cells already written out, as
+    format_values gives them, so a large file is formatted a chunk of columns
+    at a time with no per-cell dispatch.  No cell is quoted.
+    """
+    def chunks():
+        for row in (header, *rows):
+            yield ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n"
+        for columns in blocks:
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    atomic_write_text(path, chunks())
 
 
 def write_csv(d: Dataset, path) -> None:
     """Write a dataset; unobserved cells come out empty.
 
-    Values are formatted with repr so a read-back reproduces them bit-exactly.
-    The rows go to the file CHUNK_ROWS at a time.  In a one-column file an
-    empty cell is written "", since a blank line reads back as no cells.
+    Values are formatted by format_values, so a read-back reproduces them
+    bit-exactly, CHUNK_ROWS rows at a time.  In a one-column file an empty
+    cell is written "", since a blank line reads back as no cells.
     """
     empty = '""' if len(d.columns) == 1 else ""
 
-    def chunks():
-        yield ",".join(d.names) + "\n"
+    def blocks():
         for start in range(0, d.n, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            columns = []
-            for col in d.columns:
-                cells = format_values(col.values[rows])
+            columns = [format_values(col.values[rows]) for col in d.columns]
+            for cells, col in zip(columns, d.columns):
                 for i in np.flatnonzero(~col.observed[rows]).tolist():
                     cells[i] = empty
-                columns.append(cells)
-            yield format_rows(columns)
+            yield columns
 
-    atomic_write_text(path, chunks())
+    write_table(path, d.names, blocks=blocks())
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:

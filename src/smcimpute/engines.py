@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import expit
-from .dataset import Column, Dataset, DataError, VariableKind, VariableRole
+from .dataset import Column, Dataset, DataError, VariableKind, VariableRole, write_table
 from .dataset import missingness_order as _missingness_order
 from .fitters import FitError, nelson_aalen
 from .formula import (
@@ -145,16 +145,14 @@ class Diagnostics:
         prop = self.proposals.get(target, 0)
         return self.accepted.get(target, 0) / prop if prop else float("nan")
 
-    def to_csv_text(self) -> str:
-        lines = ["kind,imp,sweep,stage,name,value"]
-        for imp, sweep, stage, name, value in self.traces:
-            lines.append(f"trace,{imp},{sweep},{stage},{name},{value!r}")
-        for target in self.proposals:
-            lines.append(f"acceptance,,,sampling,{target},{self.mean_acceptance(target)!r}")
-        for target, count in self.fallbacks.items():
-            lines.append(f"fallback,,,sampling,{target},{count}")
-        lines.append(f"retries,,,chain,,{self.retries}")
-        return "\n".join(lines) + "\n"
+    def write_csv(self, path) -> None:
+        write_table(path, ("kind", "imp", "sweep", "stage", "name", "value"), [
+            *(("trace", *trace) for trace in self.traces),
+            *(("acceptance", "", "", "sampling", t, self.mean_acceptance(t))
+              for t in self.proposals),
+            *(("fallback", "", "", "sampling", t, count) for t, count in self.fallbacks.items()),
+            ("retries", "", "", "chain", "", self.retries),
+        ])
 
 
 @dataclass(frozen=True)

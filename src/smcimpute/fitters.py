@@ -182,9 +182,12 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearFit:
                         "design matrix is rank deficient")
     beta, xtx_inv = solved[:, 0], solved[:, 1:]
     resid = y - X @ beta
-    sse = float(resid @ resid)
+    with np.errstate(over="ignore"):  # an overflow is refused here, not warned of
+        sse, yy = float(resid @ resid), float(y @ y)
+    if not (np.isfinite(sse) and np.isfinite(yy)):
+        raise FitError("residual sum of squares overflows")
     # a perfect fit leaves rounding dust; snap it to an exact zero
-    if sse <= 1e-24 * max(float(y @ y), 1.0):
+    if sse <= 1e-24 * max(yy, 1.0):
         sse = 0.0
     xtx_inv = 0.5 * (xtx_inv + xtx_inv.T)
     return LinearFit(beta=beta, sigma2=sse / (n - k), xtx_inverse=xtx_inv, n=n, k=k)

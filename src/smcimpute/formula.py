@@ -9,7 +9,9 @@ Grammar (whitespace-insensitive):
 
 A bare "1" turns the intercept on explicitly, "-1" removes it.  Repeated
 variables inside a term are consolidated by summing powers (x*x == x^2), and
-factors are kept in alphabetical order so equal terms compare equal.
+factors are kept in alphabetical order so equal terms compare equal.  A
+formula names each term once: a repeated term (x + x, or x*x + x^2) would
+give two equal design columns, so `ModelFormula` refuses it.
 
 `parse_formula` is the one parser: it reads the tokens with one regular
 expression, whose last alternative catches any character that starts no
@@ -86,6 +88,11 @@ class ModelFormula:
     terms: tuple[Term, ...]
     intercept: bool
 
+    def __post_init__(self):
+        for i, term in enumerate(self.terms):
+            if term in self.terms[:i]:
+                raise FormulaError(f"term {term.label()} appears twice")
+
     @property
     def is_survival(self) -> bool:
         return isinstance(self.response, tuple)
@@ -104,19 +111,6 @@ class ModelFormula:
         out = ["(intercept)"] if self.intercept else []
         out.extend(t.label() for t in self.terms)
         return out
-
-    def __str__(self) -> str:
-        if self.is_survival:
-            lhs = f"surv({self.response[0]},{self.response[1]})"
-        else:
-            lhs = self.response
-        if self.terms:
-            rhs = " + ".join(t.label() for t in self.terms)
-        else:
-            rhs = "1" if self.intercept else ""
-        if not self.intercept and not self.is_survival:
-            rhs = f"{rhs} - 1" if rhs else "-1"
-        return f"{lhs} ~ {rhs}"
 
 
 _TOKEN_RE = re.compile(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import t_quantile
+from .dataset import write_table
 from .fitters import FitError
 from .formula import ModelFormula, design_matrix, response_arrays
 from .substantive import outcome_family
@@ -42,13 +43,10 @@ class PooledEstimate:
     level: float
     m: int
 
-    def to_csv_text(self) -> str:
-        lines = ["term,estimate,std_error,df,ci_low,ci_high"]
-        se = np.sqrt(self.total_var)
-        for i, term in enumerate(self.terms):
-            cells = (self.point[i], se[i], self.df[i], self.ci_low[i], self.ci_high[i])
-            lines.append(term + "," + ",".join(repr(float(c)) for c in cells))
-        return "\n".join(lines) + "\n"
+    def write_csv(self, path) -> None:
+        columns = (self.point, np.sqrt(self.total_var), self.df, self.ci_low, self.ci_high)
+        write_table(path, ("term", "estimate", "std_error", "df", "ci_low", "ci_high"),
+                    zip(self.terms, *(c.tolist() for c in columns)))
 
 
 def fit_each(result, family: str, formula: ModelFormula):

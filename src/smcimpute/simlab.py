@@ -36,14 +36,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from ._special import expit, t_quantile
-from .dataset import Column, Dataset, VariableKind, VariableRole, DataError, check_csv_name
+from .dataset import (Column, Dataset, VariableKind, VariableRole, DataError, check_csv_name,
+                      write_table)
 from .engines import (
     CUMHAZ,
     EngineConfig,
@@ -563,14 +564,8 @@ class ScenarioSummary:
                 return r
         raise KeyError((method, parameter))
 
-    def to_csv_text(self) -> str:
-        lines = ["scenario,method,parameter,mean,sd,coverage,mc_error_mean,mc_error_cov,n_failed"]
-        for r in self.rows:
-            lines.append(
-                f"{r.scenario},{r.method},{r.parameter},{r.mean!r},{r.sd!r},"
-                f"{r.coverage!r},{r.mc_error_mean!r},{r.mc_error_cov!r},{r.n_failed}"
-            )
-        return "\n".join(lines) + "\n"
+    def write_csv(self, path) -> None:
+        write_table(path, [f.name for f in fields(SummaryRow)], map(astuple, self.rows))
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,80 @@ def test_impute_repeated_header_name_is_usage_error(tmp_path, capsys):
                 "--m", 2, "--out", tmp_path / "o.csv"])
     assert code == 2
     assert "'x' appears twice in the header" in capsys.readouterr().err
+
+
+def set_cell(data, column, cell):
+    """Replace the first observed cell of `column` in the CSV file `data`."""
+    lines = data.read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    for i, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if cells[j]:
+            cells[j] = cell
+            lines[i] = ",".join(cells)
+            break
+    data.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, cell, method", [
+    ("y", "inf", "fcs"),
+    ("y", "-inf", "smcfcs"),
+    ("x", "inf", "smcfcs"),
+    ("x", "-Infinity", "analyze"),
+])
+def test_an_infinite_data_cell_is_refused_naming_the_data_flag(quad_files, capsys,
+                                                                column, cell, method):
+    tmp, data, schema = quad_files
+    if method == "analyze":
+        assert run(impute_args(data, schema, tmp / "imp.csv", m=2)) == 0
+        data = tmp / "imp.csv"
+    set_cell(data, column, cell)
+    argv = (["analyze", "--data", data, "--schema", schema, "--family", "linear",
+             "--smodel", "y ~ x", "--out", tmp / "o.csv"] if method == "analyze"
+            else impute_args(data, schema, tmp / "o.csv", method=method))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --data: column {column}: an observed value is infinite")
+    assert not (tmp / "o.csv").exists()
+
+
+def test_impute_whose_covariate_fit_overflows_is_an_engine_failure_without_a_warning(
+        quad_files, capsys):
+    # x ~ y on an x of 1e200: the residual sum of squares overflows to inf,
+    # which must not pass for a perfect fit with no imputation variance
+    tmp, data, schema = quad_files
+    set_cell(data, "x", "1e200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(impute_args(data, schema, tmp / "o.csv", method="fcs")) == 3
+    assert capsys.readouterr().err.startswith("failure: ")
+    assert not (tmp / "o.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand, flag, formula, term", [
+    ("impute", "--smodel", "y ~ x + x", "x"),
+    ("impute", "--smodel", "y ~ x*x + x^2", "x^2"),
+    ("impute", "--covmodel", "x ~ y + y", "y"),
+    ("analyze", "--smodel", "y ~ x + x", "x"),
+])
+def test_a_formula_that_repeats_a_term_is_refused_naming_its_flag(quad_files, capsys,
+                                                                   subcommand, flag, formula,
+                                                                   term):
+    tmp, data, schema = quad_files
+    if subcommand == "analyze":
+        assert run(impute_args(data, schema, tmp / "imp.csv", m=2)) == 0
+        argv = ["analyze", "--data", tmp / "imp.csv", "--schema", schema, "--family", "linear",
+                "--smodel", formula, "--out", tmp / "o.csv"]
+    else:
+        argv = impute_args(data, schema, tmp / "o.csv")
+        if flag == "--smodel":
+            argv[argv.index("--smodel") + 1] = formula
+        else:
+            argv += [flag, formula]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: argument {flag}: term {term} appears twice")
+    assert not (tmp / "o.csv").exists()
 
 
 def test_impute_negative_seed_names_the_seed_flag(quad_files, capsys):

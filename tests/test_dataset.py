@@ -13,9 +13,11 @@ from smcimpute.dataset import (
     VariableKind,
     VariableRole,
     atomic_write_text,
+    format_values,
     missingness_order,
     read_csv,
     write_csv,
+    write_table,
 )
 
 C, B = VariableKind.CONTINUOUS, VariableKind.BINARY
@@ -53,6 +55,18 @@ def test_read_csv_skips_a_utf8_byte_order_mark(tmp_path):
     d = read_csv(path, simple_schema(), missing_tokens={""})
     assert d.names == ("a", "b", "y")
     assert d.column("a").values.tolist() == [1.5, 2.0]
+
+
+@pytest.mark.parametrize("text, column", [
+    ("a,b,y\n1.5,,0\ninf,1,3\n", "a"),
+    ("a,b,y\n1.5,,0\n-Infinity,1,3\n", "a"),
+    ("a,b,y\n1.5,,-inf\n2.0,1,3\n", "y"),
+])
+def test_read_csv_refuses_an_infinite_observed_cell(tmp_path, text, column):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^column {column}: an observed value is infinite$"):
+        read_csv(path, simple_schema())
 
 
 def test_read_csv_missing_in_outcome_rejected(tmp_path):
@@ -191,6 +205,13 @@ def test_read_csv_undecodable_bytes_are_a_data_error(tmp_path):
     path.write_bytes(b"a,b,y\n\xff\xfe,0,0.5\n")
     with pytest.raises(DataError):
         read_csv(path, simple_schema())
+
+
+def test_write_table_writes_a_str_as_it_is_and_a_number_by_its_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("kind", "n", "value"), [("a", 3, 0.1), ("", -2, float("nan"))],
+                blocks=[[["b", "c"], ["1", "2"], format_values(np.array([1e-300, -0.0]))]])
+    assert path.read_text() == "kind,n,value\na,3,0.1\n,-2,nan\nb,1,1e-300\nc,2,-0.0\n"
 
 
 def test_atomic_write_text_failing_chunks_leave_no_file(tmp_path):

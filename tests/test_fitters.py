@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -746,6 +747,17 @@ def test_linear_rejects_a_nan_response():
     X = np.column_stack([np.ones(5), np.arange(5.0)])
     with pytest.raises(FitError):
         fit_linear(X, np.array([0.0, 1.0, np.nan, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize("big", [1e200, -1e160])
+def test_linear_fit_whose_sum_of_squares_overflows_is_a_fit_error(big):
+    # an overflowing SSE must not pass for a perfect fit (SSE 0, sigma2 0),
+    # and the overflow is refused without a RuntimeWarning
+    X = np.column_stack([np.ones(5), np.arange(5.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="residual sum of squares overflows"):
+            fit_linear(X, np.array([0.0, 1.0, big, 3.0, 4.0]))
 
 
 def test_linear_rejects_collinear_design_whose_cross_product_rounds_indefinite():

@@ -462,7 +462,7 @@ def test_fcs_linear_keeps_a_study_model_without_intercept(monkeypatch):
     with pytest.raises(Stop):
         simlab.METHODS["fcs_linear"](cfg, family, formula, d, subsequence(3, "fcs"))
     assert [(spec.target, spec.intercept) for spec in received] == [("x", False)]
-    assert str(received[0].formula) == "x ~ y - 1"
+    assert received[0].formula == parse_formula("x ~ y - 1")
 
 
 def test_builtin_scenarios_cover_all_studies():
