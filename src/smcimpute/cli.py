@@ -36,7 +36,6 @@ from .engines import (
     EngineConfig,
     EngineFailure,
     SubstantiveModelError,
-    default_covariate_specs,
     run_fcs,
     run_smcfcs,
 )
@@ -198,8 +197,6 @@ def _read_long_csv(path, schema):
 # impute
 
 def _covariate_specs_from_flags(args, d):
-    if not args.covmodel:
-        return default_covariate_specs(d, args.method)
     try:
         return tuple(CovariateModelSpec.from_formula(f, d) for f in args.covmodel)
     except ValueError as exc:

@@ -16,6 +16,7 @@ such as a completed view, does not check them again.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from array import array
@@ -172,11 +173,13 @@ def read_table(path, check_header, missing_tokens: Iterable[str] = ()):
     """The header and the float64 columns of a CSV file, read in chunks of rows.
 
     `check_header(header)` runs before any data row is read.  A cell equal to
-    one of `missing_tokens` becomes NaN.  At most CHUNK_ROWS rows exist as
-    Python objects at once: each cell is parsed straight into an array('d')
-    column, which becomes numpy without a copy.  Raises DataError for an
-    empty file, a header that names a column twice, a row of the wrong
-    width, a cell that is not a number, or a file the csv module rejects.
+    one of `missing_tokens` becomes NaN, and no other cell may (a "nan" cell is
+    refused unless "nan" is a token).  At most CHUNK_ROWS rows exist as
+    Python objects at once: each chunk's cells are parsed into an array('d')
+    and appended to their column, which becomes numpy without a copy.
+    Raises DataError for an empty file, a header that names a column twice,
+    a row of the wrong width, a cell that is not a number, or a file the csv
+    module rejects.
     """
     as_nan = dict.fromkeys(missing_tokens, "nan")
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is skipped
@@ -200,22 +203,31 @@ def read_table(path, check_header, missing_tokens: Iterable[str] = ()):
                 for name, column, cells in zip(header, columns, zip(*chunk)):
                     # as_nan.get(cell, cell) turns a missing token into "nan"
                     try:
-                        column.extend(map(float, map(as_nan.get, cells, cells)))
+                        values = array("d", map(float, map(as_nan.get, cells, cells)))
                     except ValueError:
-                        _raise_unparseable(path, name, cells, first_row, as_nan)
+                        _raise_bad_cell(path, name, cells, first_row, as_nan)
+                    # a cell such as "nan" that is no token is refused; the
+                    # tokens are counted only in a chunk column holding a NaN
+                    nans = np.count_nonzero(np.isnan(values))
+                    if nans and nans != sum(map(as_nan.__contains__, cells)):
+                        _raise_bad_cell(path, name, cells, first_row, as_nan)
+                    column.extend(values)
                 first_row += len(chunk)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: {exc}") from None
     return header, [np.frombuffer(column, dtype=float) for column in columns]
 
 
-def _raise_unparseable(path, name, cells, first_row, as_nan):
+def _raise_bad_cell(path, name, cells, first_row, as_nan):
+    """DataError naming the first cell that is neither a number nor a missing token."""
     for i, cell in enumerate(cells):
         try:
-            float(as_nan.get(cell, cell))
+            bad = cell not in as_nan and math.isnan(float(cell))
         except ValueError:
+            bad = True
+        if bad:
             raise DataError(f"{path}: row {first_row + i}: unparseable cell {cell!r} "
-                            f"in column {name}") from None
+                            f"in column {name}: not a number or a missing token")
 
 
 def read_csv(

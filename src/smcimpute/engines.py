@@ -21,7 +21,9 @@ whether the run has an outcome model.  `_run_chain` runs one chain: a fresh
 random initialization, the sweeps, and up to MAX_CHAIN_RETRIES restarts on
 FitError, all drawn from the chain's own stream, so chain k depends only on
 the seed and k.  Both engines call the family objects of the substantive
-module directly.  A covariate model that names the reserved column CUMHAZ
+module directly.  Each partial covariate takes the covariate model the
+config names it in, or else its model from default_covariate_specs, resolved
+once per run.  A covariate model that names the reserved column CUMHAZ
 conditions on the marginal Nelson-Aalen cumulative hazard, which the engine
 adds to the dataset under that name.
 
@@ -101,6 +103,7 @@ class EngineConfig:
     iterations: int | None = None  # default: 10 for fcs, 20 for smcfcs
     seed: int | np.random.SeedSequence = 0  # an int seeds the stream (seed, "engine")
     substantive: tuple[str, ModelFormula] | None = None  # (family, formula), smcfcs only
+    # overrides: a partial covariate named by none gets default_covariate_specs' model
     covariate_specs: tuple[CovariateModelSpec, ...] = ()
 
     def __post_init__(self):
@@ -234,7 +237,7 @@ class _Context:
     d: Dataset  # the input dataset, plus CUMHAZ if a covariate model uses it
     config: EngineConfig
     sampled: list[str]  # covariates imputed by sampling, in missingness order
-    specs: dict[str, CovariateModelSpec]
+    specs: dict[str, CovariateModelSpec]  # one per sampled covariate, defaults filled in
     missing_idx: dict[str, np.ndarray]
     model: Family | None = None  # smcfcs: the outcome family
     response: object = None  # smcfcs: model.prepare(response arrays), built once per run
@@ -247,9 +250,9 @@ def _materialize_column(d: Dataset, name, values, observed, kind, role) -> Datas
     return Dataset(d.columns + (col,))
 
 
-def _with_cumhaz(d: Dataset, config: EngineConfig) -> Dataset:
+def _with_cumhaz(d: Dataset, specs) -> Dataset:
     """`d` plus the CUMHAZ column if some covariate model conditions on it."""
-    if not any(CUMHAZ in spec.formula.variables for spec in config.covariate_specs):
+    if not any(CUMHAZ in spec.formula.variables for spec in specs):
         return d
     time_cols = [c for c in d.columns if c.role is VariableRole.TIME]
     event_cols = [c for c in d.columns if c.role is VariableRole.EVENT]
@@ -279,20 +282,18 @@ def _materialize_term(d: Dataset, name, term: Term) -> Dataset:
 
 
 def _build_context(d: Dataset, config: EngineConfig) -> _Context:
-    d = _with_cumhaz(d, config)
     sampled = _missingness_order(d)
-
     specs: dict[str, CovariateModelSpec] = {}
     for spec in config.covariate_specs:
         if spec.target in specs:
             raise DataError(f"duplicate covariate spec for {spec.target}")
         specs[spec.target] = spec
-    for name in sampled:
-        if name not in specs:
-            raise DataError(f"no covariate spec for partial covariate {name}")
     extra = set(specs) - set(sampled)
     if extra:
         raise DataError(f"covariate spec for non-sampled column {sorted(extra)[0]!r}")
+    for spec in default_covariate_specs(d, config.method):
+        specs.setdefault(spec.target, spec)
+    d = _with_cumhaz(d, specs.values())
 
     outcome_names = {CUMHAZ} | {
         c.name
@@ -505,15 +506,19 @@ def _run_chain(ctx: _Context, base, imp):
     the number of failed attempts).  Its draws depend only on (base, imp).
 
     Each attempt records on its own, so a failed attempt's record is dropped.
+    An overflow (a huge covariate squared) and the inf - inf it leads to are
+    not warned of: the fits refuse the non-finite values they leave, and the
+    attempt fails with FitError.
     """
     rng = stream(base, "chain", imp)
     for retries in range(1 + MAX_CHAIN_RETRIES):
         record = Diagnostics()
         try:
-            cur = _init_columns(ctx, rng)
-            warm: dict = {}
-            for sweep in range(1, ctx.config.sweeps + 1):
-                _sweep(ctx, cur, rng, record, imp, sweep, warm)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cur = _init_columns(ctx, rng)
+                warm: dict = {}
+                for sweep in range(1, ctx.config.sweeps + 1):
+                    _sweep(ctx, cur, rng, record, imp, sweep, warm)
             return {name: cur[name] for name in ctx.sampled}, record, retries
         except FitError as exc:
             error = exc

@@ -56,6 +56,7 @@ MAX_ITER = 50
 # share of |ll|; an absolute bound would sit below one ulp of ll at large n
 HALVING_TOL = 1e-12
 DIVERGENCE_THRESHOLD = 30.0
+NON_FINITE = "a matrix of the fit has a NaN or infinite entry; an input may overflow"
 
 
 class FitError(RuntimeError):
@@ -65,12 +66,12 @@ class FitError(RuntimeError):
 def _cholesky(a, message: str) -> np.ndarray:
     """Lower Cholesky factor L (a = L L') of a symmetric positive-definite matrix.
 
-    Raises FitError(message) when a has a non-finite entry or is not positive
-    definite.  np.linalg.cholesky passes NaN and inf through silently, hence
-    the explicit finite check.
+    Raises FitError(message) when a is not positive definite, and FitError
+    naming a non-finite matrix (an overflow, say) when a has a NaN or inf
+    entry: np.linalg.cholesky passes those through silently.
     """
     if not np.all(np.isfinite(a)):
-        raise FitError(message)
+        raise FitError(NON_FINITE)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -81,12 +82,12 @@ def _spd_solve(a, b, message: str) -> np.ndarray:
     """x with a x = b for symmetric positive-definite a, by its Cholesky factor.
 
     b may be a vector or a matrix; b = I gives the inverse of a.  A non-finite
-    b raises FitError(message) as well.  numpy has no triangular solve, so the
-    small factor is inverted once and applied twice.
+    b is refused as _cholesky refuses a non-finite a.  numpy has no
+    triangular solve, so the small factor is inverted once and applied twice.
     """
     lower_inv = np.linalg.inv(_cholesky(a, message))
     if not np.all(np.isfinite(b)):
-        raise FitError(message)
+        raise FitError(NON_FINITE)
     return lower_inv.T @ (lower_inv @ b)
 
 
@@ -380,7 +381,7 @@ def fit_cox(
         layout = cox_layout(time, event)
     if not np.any(layout.event == 1.0):
         raise FitError("no events observed")
-    if np.any(X.std(axis=0) == 0):
+    if np.any(np.all(X == X[:1], axis=0)):  # the std of 1000 copies of 0.1 is 1.4e-17
         raise FitError("constant covariate column in Cox design")
     xs = X[layout.order]
     beta, info, iterations = _newton(

@@ -58,7 +58,7 @@ def fit_each(result, family: str, formula: ModelFormula):
     dataset's, so imputations of covariates alone share one.  A formula that
     names an absent column, or one with missing cells, raises FormulaError.
     All fits must succeed; failures abort pooling and name the failing
-    imputations (1-based).
+    imputations (1-based) and the last failure's reason.
     """
     model = outcome_family(family, formula)
     estimates, variances, failed = [], [], []
@@ -68,13 +68,17 @@ def fit_each(result, family: str, formula: ModelFormula):
         try:
             if arrays is None or not all(map(np.array_equal, current, arrays)):
                 response, arrays = model.prepare(*current), current
-            fit = model.fit(design_matrix(formula, d), response)
+            # the fit refuses the non-finite values an overflow leaves, so
+            # neither the overflow nor the inf - inf after it is warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit = model.fit(design_matrix(formula, d), response)
             estimates.append(fit.beta)
             variances.append(fit.coef_variances())
-        except FitError:
+        except FitError as exc:
             failed.append(index)
+            error = exc
     if failed:
-        raise PoolError(f"substantive fit failed for imputations {failed}", failed)
+        raise PoolError(f"substantive fit failed for imputations {failed}: {error}", failed)
     return np.asarray(estimates), np.asarray(variances)
 
 

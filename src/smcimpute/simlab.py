@@ -50,7 +50,6 @@ from .engines import (
     EngineConfig,
     EngineFailure,
     check_integer,
-    default_covariate_specs,
     jav_analysis_formula,
     jav_dataset,
     run_fcs,
@@ -199,14 +198,12 @@ def _fcs_linear(cfg, family, formula, d, seq):
 def _jav(cfg, family, formula, d, seq):
     """Chained equations on the outcome model's terms as free-standing columns."""
     dj = jav_dataset(formula, d)
-    config = EngineConfig(method="fcs", m=cfg.m, seed=seq,
-                          covariate_specs=default_covariate_specs(dj, "fcs"))
+    config = EngineConfig(method="fcs", m=cfg.m, seed=seq)
     return _pooled(run_fcs(dj, config), family, jav_analysis_formula(formula))
 
 
 def _smcfcs(cfg, family, formula, d, seq):
-    config = EngineConfig(method="smcfcs", m=cfg.m, seed=seq, substantive=(family, formula),
-                          covariate_specs=default_covariate_specs(d, "smcfcs"))
+    config = EngineConfig(method="smcfcs", m=cfg.m, seed=seq, substantive=(family, formula))
     return _pooled(run_smcfcs(d, config), family, formula)
 
 

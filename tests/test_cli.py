@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smcimpute.cli import _read_long_csv, _write_long_csv, main, read_schema
@@ -20,9 +20,10 @@ from smcimpute.dataset import (
     VariableRole,
     write_csv,
 )
+from smcimpute.fitters import NON_FINITE
 from smcimpute.formula import parse_formula
 from smcimpute.rng import stream
-from smcimpute.simlab import apply_mcar, gen_quadratic
+from smcimpute.simlab import apply_mcar, gen_cox, gen_interaction, gen_quadratic
 
 SCHEMA = "name,kind,role\nx,continuous,partial_covariate\ny,continuous,outcome\n"
 
@@ -412,6 +413,28 @@ def test_an_infinite_data_cell_is_refused_naming_the_data_flag(quad_files, capsy
     assert not (tmp / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["impute", "analyze"])
+def test_a_nan_data_cell_is_refused_naming_the_data_flag(quad_files, capsys, command):
+    # "nan" is missing only when given as a --missing-token
+    tmp, data, schema = quad_files
+    if command == "analyze":
+        assert run(impute_args(data, schema, tmp / "imp.csv", m=2)) == 0
+        data = tmp / "imp.csv"
+    set_cell(data, "x", "nan")
+    lines = data.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines, start=1) if "nan" in line.split(","))
+    argv = (["analyze", "--data", data, "--schema", schema, "--family", "linear",
+             "--smodel", "y ~ x", "--out", tmp / "o.csv"] if command == "analyze"
+            else impute_args(data, schema, tmp / "o.csv", method="fcs"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --data: {data}: row {row}: unparseable cell 'nan' in column x: "
+        "not a number or a missing token")
+    assert not (tmp / "o.csv").exists()
+    if command == "impute":
+        assert run(argv + ["--missing-token", "", "--missing-token", "nan"]) == 0
+
+
 def test_impute_whose_covariate_fit_overflows_is_an_engine_failure_without_a_warning(
         quad_files, capsys):
     # x ~ y on an x of 1e200: the residual sum of squares overflows to inf,
@@ -422,6 +445,28 @@ def test_impute_whose_covariate_fit_overflows_is_an_engine_failure_without_a_war
         warnings.simplefilter("error")
         assert run(impute_args(data, schema, tmp / "o.csv", method="fcs")) == 3
     assert capsys.readouterr().err.startswith("failure: ")
+    assert not (tmp / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["impute", "analyze"])
+def test_an_outcome_term_that_overflows_is_a_numeric_failure_without_a_warning(
+        quad_files, capsys, command):
+    # x^2 of an x of 1e200 overflows to inf: a non-finite matrix, not rank deficiency
+    tmp, data, schema = quad_files
+    if command == "analyze":
+        assert run(impute_args(data, schema, tmp / "imp.csv", m=2)) == 0
+        data = tmp / "imp.csv"
+    set_cell(data, "x", "1e200")
+    argv = (["analyze", "--data", data, "--schema", schema, "--family", "linear",
+             "--smodel", "y ~ x + x^2", "--out", tmp / "o.csv"] if command == "analyze"
+            else impute_args(data, schema, tmp / "o.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+    failure = ("substantive fit failed for imputations [1]" if command == "analyze"
+               else "imputation 1 failed after 5 retries")
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"failure: {failure}: {NON_FINITE}")
     assert not (tmp / "o.csv").exists()
 
 
@@ -496,6 +541,44 @@ def test_impute_data_error_under_default_specs_names_the_schema_flag(tmp_path, c
     err = capsys.readouterr().err
     assert "--schema: covariate model conditions on _cumhaz" in err
     assert "--covmodel" not in err
+
+
+@pytest.mark.parametrize("generate, method, given, default", [
+    (lambda rng: gen_cox(200, rng), ["--method", "fcs"], "x1 ~ x2 + d",
+     "x2 ~ x1 + d + _cumhaz"),
+    (lambda rng: gen_interaction("bvnormal", 200, rng),
+     ["--method", "smcfcs", "--family", "linear", "--smodel", "y ~ x1 + x2 + x1*x2"],
+     "x1 ~ 1", "x2 ~ x1"),
+], ids=["cox-fcs", "interaction-smcfcs"])
+def test_a_covariate_without_its_own_covmodel_gets_its_default_model(tmp_path, generate,
+                                                                     method, given, default):
+    d = apply_mcar(generate(stream(6, "cli")), 0.7, stream(6, "climask"))
+    data, schema = tmp_path / "d.csv", tmp_path / "schema.csv"
+    write_csv(d, data)
+    schema.write_text("name,kind,role\n" + "".join(
+        f"{c.name},{c.kind.value},{c.role.value}\n" for c in d.columns))
+    outputs = []
+    for covmodels in ([given], [given, default]):
+        out = tmp_path / f"o{len(covmodels)}.csv"
+        assert run(["impute", "--data", data, "--schema", schema, *method, "--m", 2,
+                    "--iter", 3, "--out", out,
+                    *(arg for text in covmodels for arg in ("--covmodel", text))]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{out.name}.diag.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("covmodels, message", [
+    (["x ~ y", "x ~ 1"], "duplicate covariate spec for x"),
+    (["y ~ x"], "covariate spec for non-sampled column 'y'"),
+])
+def test_a_repeated_or_non_sampled_covmodel_is_refused_naming_the_flag(quad_files, capsys,
+                                                                       covmodels, message):
+    tmp, data, schema = quad_files
+    out = tmp / "o.csv"
+    extra = [arg for text in covmodels for arg in ("--covmodel", text)]
+    assert run(impute_args(data, schema, out, method="fcs", extra=extra)) == 2
+    assert capsys.readouterr().err == f"error: --covmodel: {message}\n"
+    assert not out.exists()
 
 
 def test_schema_that_names_a_column_twice_is_refused_as_a_schema_error(quad_files, capsys):
@@ -959,18 +1042,33 @@ BAD_SCENARIO_FIELDS = {
 }
 
 
+GOOD_SCENARIO = {"dgp": "cox", "variant": None, "mechanism": "mcar", "n": 50, "reps": 1,
+                 "m": 2, "methods": ["cc"]}
+
+
+def scenario_with(field, value):
+    return json.dumps({**GOOD_SCENARIO, field: value}).encode()
+
+
 @st.composite
 def scenario_with_a_bad_field(draw):
-    raw = {"dgp": "cox", "variant": None, "mechanism": "mcar", "n": 50, "reps": 1, "m": 2,
-           "methods": ["cc"]}
     field = draw(st.sampled_from(sorted(BAD_SCENARIO_FIELDS)) | TEXT.filter(
-        lambda t: t not in raw and t not in ("seed", "p_obs", "name")))
-    raw[field] = draw(BAD_SCENARIO_FIELDS.get(field, JSON))
-    return json.dumps(raw).encode()
+        lambda t: t not in GOOD_SCENARIO and t not in ("seed", "p_obs", "name")))
+    return scenario_with(field, draw(BAD_SCENARIO_FIELDS.get(field, JSON)))
 
 
 @given(content=st.one_of(st.binary(max_size=60), JSON.map(json.dumps).map(str.encode),
                          scenario_with_a_bad_field()))
+# each field's boundary values, which a draw spread over every field seldom reaches
+@example(content=scenario_with("methods", []))
+@example(content=scenario_with("methods", ["cc", "cc"]))
+@example(content=scenario_with("m", 1))
+@example(content=scenario_with("n", 0))
+@example(content=scenario_with("reps", 0))
+@example(content=scenario_with("seed", -1))
+@example(content=scenario_with("p_obs", 1.0))
+@example(content=scenario_with("p_obs", True))
+@example(content=scenario_with("name", "a,b"))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_fuzz_malformed_scenario_json_is_a_usage_error(content, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("scenario")

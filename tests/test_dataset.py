@@ -186,6 +186,20 @@ def test_read_csv_row_numbers_run_across_chunks(tmp_path):
         read_csv(path, simple_schema())
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-nan"])
+def test_read_csv_refuses_a_nan_cell_unless_it_is_a_missing_token(tmp_path, cell):
+    # the NaN lands in the second chunk, after a first chunk that holds tokens
+    rows = ["NA,0,0.5"] * (CHUNK_ROWS + 3)
+    rows[CHUNK_ROWS + 1] = f"{cell},0,0.5"
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=f"row {CHUNK_ROWS + 3}: unparseable cell '{cell}' "
+                                        "in column a: not a number or a missing token$"):
+        read_csv(path, simple_schema())
+    d = read_csv(path, simple_schema(), missing_tokens=("NA", cell))
+    assert not d.column("a").observed.any()
+
+
 def test_read_csv_numeric_missing_token(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n-99,1,0.5\n2.0,-99,3\n")

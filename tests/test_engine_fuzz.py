@@ -19,7 +19,6 @@ from smcimpute.dataset import Column, DataError, Dataset, VariableKind, Variable
 from smcimpute.engines import (
     EngineConfig,
     EngineFailure,
-    default_covariate_specs,
     jav_dataset,
     run_fcs,
     run_smcfcs,
@@ -70,7 +69,6 @@ def run_engine(d, method, family):
     config = EngineConfig(
         method=method, m=2, iterations=2, seed=5,
         substantive=outcome if method == "smcfcs" else None,
-        covariate_specs=default_covariate_specs(d, method),
     )
     try:
         return (run_fcs if method == "fcs" else run_smcfcs)(d, config)
@@ -105,8 +103,7 @@ def test_engines_keep_their_invariants_on_random_data(case):
         return
     names = [c.name for c in d.partial_covariates()]
     dj = jav_dataset(parse_formula(f"y ~ {' + '.join(names)} + {names[0]}^2"), d)
-    config = EngineConfig(method="fcs", m=2, iterations=2, seed=5,
-                          covariate_specs=default_covariate_specs(dj, "fcs"))
+    config = EngineConfig(method="fcs", m=2, iterations=2, seed=5)
 
     def run_jav():
         try:

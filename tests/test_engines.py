@@ -77,7 +77,7 @@ def initialize(d, rng):
     """The columns a chain starts from, as both engines initialize them."""
     from smcimpute.engines import _build_context, _init_columns
 
-    config = EngineConfig(method="fcs", covariate_specs=default_covariate_specs(d, "fcs"))
+    config = EngineConfig(method="fcs")
     return _init_columns(_build_context(d, config), rng)
 
 
@@ -96,8 +96,7 @@ def test_initialize_constant_observed_values():
 def test_a_partial_covariate_with_no_observed_value_fails_the_run():
     d = quadratic_data(n=40, p_obs=0.0, seed=1)
     assert not d.column("x").observed.any()
-    cfg = EngineConfig(method="fcs", m=2, iterations=1,
-                       covariate_specs=default_covariate_specs(d, "fcs"))
+    cfg = EngineConfig(method="fcs", m=2, iterations=1)
     with pytest.raises(EngineFailure, match="^column x has no observed values$"):
         run_fcs(d, cfg)
 
@@ -153,8 +152,7 @@ def test_completed_datasets_share_every_column_they_do_not_impute(method):
     d = Dataset(d0.columns + (Column("z", C, COMP, z, np.ones(d0.n, dtype=bool)),))
     x_before = d.column("x").values.copy()
     if method == "fcs":
-        result = run_fcs(d, EngineConfig(method="fcs", m=2, iterations=2, seed=11,
-                                         covariate_specs=default_covariate_specs(d, "fcs")))
+        result = run_fcs(d, EngineConfig(method="fcs", m=2, iterations=2, seed=11))
     else:
         result = run_smcfcs(d, smcfcs_quadratic_config(m=2, iterations=2))
     for imp in result.datasets:
@@ -172,8 +170,7 @@ def test_completed_datasets_share_every_column_they_do_not_impute(method):
 
 def run_jav(formula, d, seed):
     dj = jav_dataset(parse_formula(formula), d)
-    cfg = EngineConfig(method="fcs", m=2, iterations=3, seed=seed,
-                       covariate_specs=default_covariate_specs(dj, "fcs"))
+    cfg = EngineConfig(method="fcs", m=2, iterations=3, seed=seed)
     return run_fcs(dj, cfg)
 
 
@@ -433,11 +430,72 @@ def test_smcfcs_rejects_a_survival_time_that_is_not_positive():
         run_smcfcs(d, cfg)
 
 
-def test_every_partial_covariate_needs_a_spec():
+def two_partial_run(case, specs=None):
+    """(data, config) of a short run on two partial covariates; `specs=None`
+    leaves the config's covariate_specs at its default."""
+    from smcimpute.rng import stream
+    from smcimpute.simlab import apply_mcar, gen_cox, gen_interaction
+
+    method, substantive = {
+        "fcs": ("fcs", None),
+        "smcfcs": ("smcfcs", ("normal_linear", parse_formula("y ~ x1 + x2 + x1*x2"))),
+        "fcs-survival": ("fcs", None),
+    }[case]
+    d = (gen_cox(120, stream(21, case)) if case == "fcs-survival"
+         else gen_interaction("bvnormal", 120, stream(21, case)))
+    d = apply_mcar(d, 0.7, stream(21, case, "mask"))
+    kw = {} if specs is None else {"covariate_specs": specs(d, method)}
+    return d, EngineConfig(method=method, m=2, iterations=3, seed=4, substantive=substantive, **kw)
+
+
+def result_bytes(result):
+    """Every completed cell's bytes and the diagnostics, as one value to compare."""
+    return ([c.values.tobytes() for d in result.datasets for c in d.columns],
+            repr(result.diagnostics))
+
+
+def run_config(d, config):
+    return (run_fcs if config.method == "fcs" else run_smcfcs)(d, config)
+
+
+@pytest.mark.parametrize("case", ["fcs", "smcfcs", "fcs-survival"])
+def test_a_run_with_no_covariate_specs_imputes_with_the_defaults(case):
+    d, config = two_partial_run(case)
+    assert config.covariate_specs == ()
+    result = run_config(d, config)
+    assert result_bytes(result) == result_bytes(run_config(*two_partial_run(
+        case, default_covariate_specs)))
+    # the survival defaults condition on the cumulative hazard
+    assert result.datasets[0].has_column(CUMHAZ) == (case == "fcs-survival")
+
+
+@pytest.mark.parametrize("case", ["fcs", "smcfcs", "fcs-survival"])
+def test_a_partial_set_of_covariate_specs_is_completed_with_the_defaults(case):
+    def override(d, method):  # x1 on no other covariate
+        return (CovariateModelSpec.from_formula(parse_formula("x1 ~ 1"), d),)
+
+    def completed(d, method):
+        return override(d, method) + tuple(
+            s for s in default_covariate_specs(d, method) if s.target != "x1")
+
+    d, config = two_partial_run(case, override)
+    assert [s.target for s in config.covariate_specs] == ["x1"]
+    result = run_config(d, config)
+    assert result_bytes(result) == result_bytes(run_config(*two_partial_run(case, completed)))
+    assert result_bytes(result) != result_bytes(run_config(*two_partial_run(case)))
+    # x2's default model, not x1's override, names the cumulative hazard
+    assert result.datasets[0].has_column(CUMHAZ) == (case == "fcs-survival")
+
+
+@pytest.mark.parametrize("targets, message", [
+    (("x", "x"), "duplicate covariate spec for x"),
+    (("x", "y"), "covariate spec for non-sampled column 'y'"),
+])
+def test_a_repeated_or_non_sampled_covariate_spec_is_refused(targets, message):
     d = quadratic_data(seed=11)
-    cfg = EngineConfig(method="fcs", m=2, covariate_specs=())
-    with pytest.raises(DataError, match="no covariate spec"):
-        run_fcs(d, cfg)
+    specs = tuple(CovariateModelSpec(t, "normal_linear", predictors=()) for t in targets)
+    with pytest.raises(DataError, match=message):
+        run_fcs(d, EngineConfig(method="fcs", m=2, covariate_specs=specs))
 
 
 def test_spec_family_must_match_kind():
@@ -598,9 +656,7 @@ def test_fcs_survival_materializes_cumhaz():
         ("w", C, VariableRole.TIME, w, np.ones(n)),
         ("d", B, VariableRole.EVENT, ev, np.ones(n)),
     ])
-    cfg = EngineConfig(method="fcs", m=2, iterations=3, seed=2,
-                       covariate_specs=default_covariate_specs(d, "fcs"))
-    result = run_fcs(d, cfg)
+    result = run_fcs(d, EngineConfig(method="fcs", m=2, iterations=3, seed=2))
     imp = result.datasets[0]
     assert imp.has_column(CUMHAZ)
     from smcimpute.fitters import nelson_aalen
@@ -617,8 +673,7 @@ def run_quadratic(method, d, **kw):
     """`method` on quadratic data: fcs with default specs, smcfcs with the
     quadratic substantive model."""
     if method == "fcs":
-        return run_fcs(d, EngineConfig(method="fcs", seed=11,
-                                       covariate_specs=default_covariate_specs(d, "fcs"), **kw))
+        return run_fcs(d, EngineConfig(method="fcs", seed=11, **kw))
     return run_smcfcs(d, smcfcs_quadratic_config(**kw))
 
 
@@ -709,7 +764,6 @@ def test_cox_smcfcs_run_builds_the_risk_set_layout_once(monkeypatch):
     cfg = EngineConfig(
         method="smcfcs", m=2, iterations=2, seed=3,
         substantive=("cox", parse_formula("surv(w,d) ~ x1 + x2")),
-        covariate_specs=default_covariate_specs(d, "smcfcs"),
     )
     assert run_smcfcs(d, cfg).diagnostics.retries == 0
     assert counts == {"cox_layout": 1, "fit_cox": 2 * 2 * 2}  # chains x sweeps x covariates

@@ -13,6 +13,7 @@ from scipy.special import expit
 
 from smcimpute import fitters
 from smcimpute.fitters import (
+    NON_FINITE,
     FitError,
     StepCumHazard,
     _spd_solve,
@@ -300,6 +301,18 @@ def test_cox_constant_covariate_rejected():
     X = np.ones((5, 1))
     with pytest.raises(FitError):
         fit_cox(X, np.arange(1.0, 6.0), np.ones(5))
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 1e-3])
+def test_cox_constant_covariate_whose_mean_rounds_is_rejected(value):
+    # 1000 copies of 0.1 have a computed std of 1.4e-17, not 0
+    from smcimpute.simlab import gen_cox
+
+    d = gen_cox(1000, rng0(5))
+    X = np.column_stack([d.column("x1").values, np.full(d.n, value)])
+    assert X[:, 1].std() != 0.0
+    with pytest.raises(FitError, match="^constant covariate column in Cox design$"):
+        fit_cox(X, d.column("w").values, d.column("d").values)
 
 
 def test_cox_matches_grid_search_oracle():
@@ -714,14 +727,17 @@ def test_spd_solve_matches_scipy_cho_solve():
     ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.nan]),
 ])
 def test_spd_solve_rejects_indefinite_and_non_finite(a, b):
-    with pytest.raises(FitError, match="^call site message$"):
+    # a non-finite input is named as such, not by the caller's message
+    finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    message = "call site message" if finite else NON_FINITE
+    with pytest.raises(FitError, match=f"^{message}$"):
         _spd_solve(np.array(a), np.array(b), "call site message")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_multivariate_normal_draw_rejects_non_finite_covariance(bad):
     cov = np.array([[1.0, 0.0], [0.0, bad]])
-    with pytest.raises(FitError, match="not positive definite"):
+    with pytest.raises(FitError, match=f"^{NON_FINITE}$"):
         multivariate_normal_draw(np.zeros(2), cov, rng0(0))
 
 

@@ -130,13 +130,11 @@ def test_fit_each_reports_failing_imputations():
 
 
 def _cox_imputations(m):
-    from smcimpute.engines import EngineConfig, default_covariate_specs, run_fcs
+    from smcimpute.engines import EngineConfig, run_fcs
     from smcimpute.simlab import apply_mcar, gen_cox
 
     d = apply_mcar(gen_cox(200, np.random.default_rng(7)), 0.7, np.random.default_rng(8))
-    cfg = EngineConfig(method="fcs", m=m, iterations=2, seed=4,
-                       covariate_specs=default_covariate_specs(d, "fcs"))
-    return run_fcs(d, cfg)
+    return run_fcs(d, EngineConfig(method="fcs", m=m, iterations=2, seed=4))
 
 
 def _count_layout_builds(monkeypatch):

@@ -416,7 +416,7 @@ def test_complete_case_intervals_use_quantiles_that_match_scipy_stats(family):
 def test_study_scale_smcfcs_runs_need_no_fallback():
     # at the study designs' scales the rejection sampler never exhausts the
     # default attempt cap
-    from smcimpute.engines import EngineConfig, default_covariate_specs, run_smcfcs
+    from smcimpute.engines import EngineConfig, run_smcfcs
 
     for dgp, variant in (("quadratic", "normal"), ("interaction", "bvnormal"), ("cox", None)):
         cfg = ScenarioConfig(dgp=dgp, variant=variant, mechanism="mcar",
@@ -432,7 +432,6 @@ def test_study_scale_smcfcs_runs_need_no_fallback():
         engine_cfg = EngineConfig(
             method="smcfcs", m=2, seed=subsequence(55, dgp, "engine"),
             substantive=(family, formula),
-            covariate_specs=default_covariate_specs(d, "smcfcs"),
         )
         result = run_smcfcs(d, engine_cfg)
         assert sum(result.diagnostics.fallbacks.values()) == 0
