@@ -18,6 +18,7 @@ from .dataset import (
     write_csv,
 )
 from .engines import (
+    CovariateModelError,
     Diagnostics,
     EngineConfig,
     EngineFailure,

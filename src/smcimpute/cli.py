@@ -33,6 +33,7 @@ from .dataset import (
 )
 from .engines import (
     CUMHAZ,
+    CovariateModelError,
     EngineConfig,
     EngineFailure,
     SubstantiveModelError,
@@ -42,7 +43,7 @@ from .engines import (
 from .fitters import FitError, run_lengths
 from .formula import FormulaError, parse_formula
 from .pooling import PoolError, fit_each, pool
-from .substantive import CovariateModelSpec, outcome_family
+from .substantive import CovariateModelSpec
 
 __all__ = ["main"]
 
@@ -196,13 +197,6 @@ def _read_long_csv(path, schema):
 # ---------------------------------------------------------------------------
 # impute
 
-def _covariate_specs_from_flags(args, d):
-    try:
-        return tuple(CovariateModelSpec.from_formula(f, d) for f in args.covmodel)
-    except ValueError as exc:
-        _fail("--covmodel", str(exc))
-
-
 def cmd_impute(args) -> int:
     schema = read_schema(args.schema)
     d = _load_dataset(args, schema)
@@ -213,26 +207,21 @@ def cmd_impute(args) -> int:
         if not args.family:
             _fail("--family", "required when --method smcfcs")
         substantive = (FAMILY_FLAGS[args.family], args.smodel)
-        try:
-            outcome_family(*substantive)
-        except FormulaError as exc:
-            _fail("--smodel", str(exc))
-    config = EngineConfig(
-        method=args.method,
-        m=args.m,
-        iterations=args.iter,
-        seed=args.seed,
-        substantive=substantive,
-        covariate_specs=_covariate_specs_from_flags(args, d),
-    )
-    run = run_fcs if args.method == "fcs" else run_smcfcs
     try:
-        result = run(d, config)
-    except SubstantiveModelError as exc:
+        specs = tuple(CovariateModelSpec.from_formula(f, d) for f in args.covmodel)
+    except ValueError as exc:
+        _fail("--covmodel", str(exc))
+    # the engine's exception type says which model, and so which flag, is at fault
+    try:
+        config = EngineConfig(method=args.method, m=args.m, iterations=args.iter,
+                              seed=args.seed, substantive=substantive, covariate_specs=specs)
+        result = (run_fcs if args.method == "fcs" else run_smcfcs)(d, config)
+    except (FormulaError, SubstantiveModelError) as exc:
         _fail("--smodel", str(exc))
-    except DataError as exc:
-        # with the default specs the data's columns are what the models lack
-        _fail("--covmodel" if args.covmodel else "--schema", str(exc))
+    except CovariateModelError as exc:
+        _fail("--covmodel", str(exc))
+    except DataError as exc:  # a default covariate model, which the schema's roles chose
+        _fail("--schema", str(exc))
     _write_long_csv(args.out, result.datasets, d.names)
     result.diagnostics.write_csv(f"{args.out}.diag.csv")
     for name in sorted(result.diagnostics.proposals):

@@ -27,6 +27,12 @@ once per run.  A covariate model that names the reserved column CUMHAZ
 conditions on the marginal Nelson-Aalen cumulative hazard, which the engine
 adds to the dataset under that name.
 
+The engine checks the models against the data once per run, before any
+chain, and says by the exception's type which model a refusal is about:
+SubstantiveModelError for the outcome model, CovariateModelError for a
+covariate model the config names, and a plain DataError for a default
+covariate model, whose predictors the data's roles chose.
+
 The input's columns were checked when they were built, and the engine does
 not check them again.  A chain owns only the columns it imputes: it copies
 each sampled column once per attempt and reads every other column of the
@@ -63,6 +69,7 @@ __all__ = [
     "ImputationResult",
     "EngineFailure",
     "SubstantiveModelError",
+    "CovariateModelError",
     "check_integer",
     "run_fcs",
     "run_smcfcs",
@@ -84,8 +91,15 @@ class EngineFailure(RuntimeError):
 
 
 class SubstantiveModelError(DataError):
-    """The outcome model does not fit the data: an unknown column or a
-    response with missing cells."""
+    """The outcome model does not fit the data: an unknown column, or a
+    response the family cannot take (a missing cell, a time not > 0, a y
+    not 0/1)."""
+
+
+class CovariateModelError(DataError):
+    """A covariate model that EngineConfig.covariate_specs names is refused.
+    The same refusal of a default model is a plain DataError: the data's
+    roles, not a given model, are at fault there."""
 
 
 def check_integer(name: str, value, low: int):
@@ -117,8 +131,15 @@ class EngineConfig:
         if self.method == "smcfcs":
             if self.substantive is None:
                 raise ValueError("smcfcs requires a substantive (family, formula)")
-            outcome_family(*self.substantive)
+            family, formula = self.substantive
+            if not isinstance(formula, ModelFormula):
+                raise ValueError(f"substantive formula must be a ModelFormula, not {formula!r}")
+            outcome_family(family, formula)
         object.__setattr__(self, "covariate_specs", tuple(self.covariate_specs))
+        for spec in self.covariate_specs:
+            if not isinstance(spec, CovariateModelSpec):
+                raise ValueError(f"covariate_specs must hold CovariateModelSpec values, "
+                                 f"not {spec!r}")
 
     @property
     def sweeps(self) -> int:
@@ -250,19 +271,13 @@ def _materialize_column(d: Dataset, name, values, observed, kind, role) -> Datas
     return Dataset(d.columns + (col,))
 
 
-def _with_cumhaz(d: Dataset, specs) -> Dataset:
-    """`d` plus the CUMHAZ column if some covariate model conditions on it."""
-    if not any(CUMHAZ in spec.formula.variables for spec in specs):
-        return d
-    time_cols = [c for c in d.columns if c.role is VariableRole.TIME]
-    event_cols = [c for c in d.columns if c.role is VariableRole.EVENT]
-    if not time_cols or not event_cols:
-        raise DataError(f"covariate model conditions on {CUMHAZ}, "
-                        "which needs time and event columns")
-    hazard = nelson_aalen(time_cols[0].values, event_cols[0].values)
-    values = np.asarray(hazard(time_cols[0].values), dtype=float)
+def _with_cumhaz(d: Dataset) -> Dataset:
+    """`d` plus the CUMHAZ column, from its time and event columns."""
+    time = next(c for c in d.columns if c.role is VariableRole.TIME)
+    event = next(c for c in d.columns if c.role is VariableRole.EVENT)
+    hazard = nelson_aalen(time.values, event.values)
     return _materialize_column(
-        d, CUMHAZ, values, np.ones(d.n, dtype=bool),
+        d, CUMHAZ, np.asarray(hazard(time.values), dtype=float), np.ones(d.n, dtype=bool),
         VariableKind.CONTINUOUS, VariableRole.COMPLETE_COVARIATE,
     )
 
@@ -283,17 +298,19 @@ def _materialize_term(d: Dataset, name, term: Term) -> Dataset:
 
 def _build_context(d: Dataset, config: EngineConfig) -> _Context:
     sampled = _missingness_order(d)
-    specs: dict[str, CovariateModelSpec] = {}
+    given: dict[str, CovariateModelSpec] = {}
     for spec in config.covariate_specs:
-        if spec.target in specs:
-            raise DataError(f"duplicate covariate spec for {spec.target}")
-        specs[spec.target] = spec
-    extra = set(specs) - set(sampled)
-    if extra:
-        raise DataError(f"covariate spec for non-sampled column {sorted(extra)[0]!r}")
+        if spec.target in given:
+            raise CovariateModelError(f"duplicate covariate spec for {spec.target}")
+        if spec.target not in sampled:
+            raise CovariateModelError(f"covariate spec for non-sampled column {spec.target!r}")
+        given[spec.target] = spec
+    specs = dict(given)
     for spec in default_covariate_specs(d, config.method):
         specs.setdefault(spec.target, spec)
-    d = _with_cumhaz(d, specs.values())
+    survival = {VariableRole.TIME, VariableRole.EVENT} <= {c.role for c in d.columns}
+    if survival and any(CUMHAZ in spec.formula.variables for spec in specs.values()):
+        d = _with_cumhaz(d)
 
     outcome_names = {CUMHAZ} | {
         c.name
@@ -305,19 +322,21 @@ def _build_context(d: Dataset, config: EngineConfig) -> _Context:
         response = config.substantive[1].response
         outcome_names.update(response if isinstance(response, tuple) else (response,))
     for name, spec in specs.items():
+        # a given model is at fault for its refusal; a default one, the data's roles
+        error = CovariateModelError if name in given else DataError
+        if CUMHAZ in spec.formula.variables and not survival:
+            raise error(f"covariate model conditions on {CUMHAZ}, "
+                        "which needs time and event columns")
         col = d.column(name)
         if spec.model.binary != (col.kind is VariableKind.BINARY):
-            raise DataError(
-                f"covariate {name} is {col.kind.value}; spec family {spec.family} does not match"
-            )
+            raise error(f"covariate {name} is {col.kind.value}; "
+                        f"spec family {spec.family} does not match")
         for v in spec.formula.variables:
             if not d.has_column(v):
-                raise DataError(f"spec for {name} references unknown column {v!r}")
+                raise error(f"spec for {name} references unknown column {v!r}")
             if config.method == "smcfcs" and v in outcome_names:
-                raise DataError(
-                    f"smcfcs covariate model for {name} must not condition on "
-                    f"outcome-derived column {v!r}"
-                )
+                raise error(f"smcfcs covariate model for {name} must not condition on "
+                            f"outcome-derived column {v!r}")
 
     model = response = None
     if config.method == "smcfcs":

@@ -425,11 +425,13 @@ def exp_hazard_times(linpred: np.ndarray, rate: float, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # missingness mechanisms
 
-def _mask_partial(d: Dataset, keep_prob_for, rng) -> Dataset:
+def _mask_partial(d: Dataset, keep_prob, rng) -> Dataset:
+    """Each partial-covariate cell kept with probability `keep_prob` (a scalar
+    or one per row), a fresh uniform draw per column in column order."""
     cols = []
     for col in d.columns:
         if col.role is VariableRole.PARTIAL_COVARIATE:
-            keep = rng.random(d.n) < keep_prob_for(col)
+            keep = rng.random(d.n) < keep_prob
             values = np.where(keep, col.values, np.nan)
             cols.append(Column(col.name, col.kind, col.role, values, keep & col.observed))
         else:
@@ -441,7 +443,7 @@ def apply_mcar(d: Dataset, p_obs: float, rng) -> Dataset:
     """Each partial-covariate cell kept independently with probability p_obs."""
     if not 0.0 < p_obs <= 1.0:
         raise ValueError("p_obs must be in (0, 1]")
-    return _mask_partial(d, lambda col: p_obs, rng)
+    return _mask_partial(d, p_obs, rng)
 
 
 def apply_mar(d: Dataset, alpha0: float, alpha1: float, rng) -> Dataset:
@@ -450,7 +452,7 @@ def apply_mar(d: Dataset, alpha0: float, alpha1: float, rng) -> Dataset:
     if not outcome:
         raise DataError("missing-at-random mechanism needs an outcome column")
     p = expit(alpha0 + alpha1 * outcome[0].values)
-    return _mask_partial(d, lambda col: p, rng)
+    return _mask_partial(d, p, rng)
 
 
 # ---------------------------------------------------------------------------

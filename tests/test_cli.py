@@ -604,6 +604,68 @@ def test_impute_smcfcs_covariate_model_may_not_condition_on_the_response(quad_fi
     assert not out.exists()
 
 
+INTERACT_SCHEMA = ("name,kind,role\nx1,continuous,partial_covariate\n"
+                   "x2,continuous,partial_covariate\ny,continuous,{y_role}\n")
+
+
+def interact_files(tmp, y_role):
+    """Two partial covariates and y, whose schema role is `y_role`."""
+    data, schema = tmp / "interact.csv", tmp / "interact.schema.csv"
+    write_csv(apply_mcar(gen_interaction("bvnormal", 200, stream(1, "ci")), 0.7,
+                         stream(1, "mask")), data)
+    schema.write_text(INTERACT_SCHEMA.format(y_role=y_role))
+    return data, schema
+
+
+def test_a_refused_default_model_names_the_schema_flag_beside_a_given_covmodel(tmp_path,
+                                                                               capsys):
+    # x2 gets its default smcfcs model, x2 ~ x1 + y, from the schema's roles
+    data, schema = interact_files(tmp_path, "complete_covariate")
+    out = tmp_path / "o.csv"
+    assert run(["impute", "--data", data, "--schema", schema, "--method", "smcfcs",
+                "--family", "linear", "--smodel", "y ~ x1 + x2", "--covmodel", "x1 ~ x2",
+                "--m", 2, "--out", out]) == 2
+    assert capsys.readouterr().err == ("error: --schema: smcfcs covariate model for x2 must "
+                                       "not condition on outcome-derived column 'y'\n")
+    assert not out.exists()
+
+
+def test_a_given_covmodel_on_cumhaz_without_time_and_event_names_the_covmodel_flag(
+        tmp_path, capsys):
+    data, schema = tmp_path / "d.csv", tmp_path / "schema.csv"
+    data.write_text("x,z,y\n1.0,0.3,1.2\n,1.2,0.4\n0.5,-0.4,2.2\n2.0,0.1,0.9\n")
+    schema.write_text("name,kind,role\nx,continuous,partial_covariate\n"
+                      "z,continuous,complete_covariate\ny,continuous,outcome\n")
+    assert run(["impute", "--data", data, "--schema", schema, "--method", "fcs", "--m", 2,
+                "--covmodel", "x ~ z + _cumhaz", "--out", tmp_path / "o.csv"]) == 2
+    assert capsys.readouterr().err == ("error: --covmodel: covariate model conditions on "
+                                       "_cumhaz, which needs time and event columns\n")
+
+
+COVMODELS = {"x1 ~ x2": "x1", "x1 ~ x2 + y": "x1", "x2 ~ x1": "x2", "x2 ~ y": "x2"}
+
+
+@given(y_role=st.sampled_from(["outcome", "complete_covariate"]),
+       covmodels=st.lists(st.sampled_from(sorted(COVMODELS)), unique=True))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fuzz_a_covariate_model_refusal_names_the_flag_of_the_model_at_fault(
+        y_role, covmodels, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("blame")
+    data, schema = interact_files(tmp, y_role)
+    code, err = run_quietly(["impute", "--data", data, "--schema", schema, "--method", "smcfcs",
+                             "--family", "linear", "--smodel", "y ~ x1 + x2", "--m", 1,
+                             "--iter", 1, "--out", tmp / "o.csv",
+                             *(arg for text in covmodels for arg in ("--covmodel", text))])
+    targets = [COVMODELS[text] for text in covmodels]
+    if len(set(targets)) < len(targets) or any(text.endswith("y") for text in covmodels):
+        assert code == 2 and err.startswith("error: --covmodel: ")
+    elif y_role == "complete_covariate" and len(set(targets)) < 2:
+        # a partial covariate without a --covmodel gets a default model on y
+        assert code == 2 and err.startswith("error: --schema: ")
+    else:
+        assert code in (0, 3), err
+
+
 def test_schema_reserves_the_cumhaz_column(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("x,w,d,_cumhaz\n1.0,2.0,1,0.5\n,1.0,0,0.1\n0.5,3.0,1,0.9\n")

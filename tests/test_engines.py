@@ -15,6 +15,7 @@ from smcimpute.dataset import (
 )
 from smcimpute.engines import (
     CUMHAZ,
+    CovariateModelError,
     EngineConfig,
     EngineFailure,
     SubstantiveModelError,
@@ -496,6 +497,71 @@ def test_a_repeated_or_non_sampled_covariate_spec_is_refused(targets, message):
     specs = tuple(CovariateModelSpec(t, "normal_linear", predictors=()) for t in targets)
     with pytest.raises(DataError, match=message):
         run_fcs(d, EngineConfig(method="fcs", m=2, covariate_specs=specs))
+
+
+def response_as_covariate_data():
+    """Quadratic data whose schema calls the response y a complete covariate."""
+    d = quadratic_data(seed=10)
+    y = d.column("y")
+    return Dataset((d.column("x"), Column("y", C, COMP, y.values, y.observed)))
+
+
+def event_without_time_data():
+    """One partial covariate and an event column with no time column."""
+    rng = np.random.default_rng(3)
+    x, obs = rng.normal(size=20), rng.random(20) < 0.7
+    return dataset([("x", C, PART, np.where(obs, x, np.nan), obs),
+                    ("d", B, VariableRole.EVENT, (rng.random(20) < 0.5).astype(float),
+                     np.ones(20))])
+
+
+@pytest.mark.parametrize("method, data, message", [
+    ("smcfcs", response_as_covariate_data,
+     "smcfcs covariate model for x must not condition on outcome-derived column 'y'"),
+    ("fcs", event_without_time_data,
+     "covariate model conditions on _cumhaz, which needs time and event columns"),
+])
+def test_a_refusal_is_a_covariate_model_error_only_for_a_given_model(method, data, message):
+    d = data()
+    run, kw = ((run_smcfcs, {"substantive": ("normal_linear", parse_formula("y ~ x + x^2"))})
+               if method == "smcfcs" else (run_fcs, {}))
+    # the same model, once given and once filled in as the default
+    given = EngineConfig(method=method, m=1, iterations=1,
+                         covariate_specs=default_covariate_specs(d, method), **kw)
+    with pytest.raises(CovariateModelError, match=f"^{message}$"):
+        run(d, given)
+    with pytest.raises(DataError, match=f"^{message}$") as refused:
+        run(d, EngineConfig(method=method, m=1, iterations=1, **kw))
+    assert not isinstance(refused.value, CovariateModelError)
+
+
+def intercept_only(target, family="normal_linear"):
+    return CovariateModelSpec(target, family, predictors=())
+
+
+@pytest.mark.parametrize("specs, message", [
+    ((intercept_only("x"), intercept_only("x")), "duplicate covariate spec for x"),
+    ((intercept_only("y"),), "non-sampled column 'y'"),
+    ((intercept_only("x", "logistic"),), "does not match"),
+    ((CovariateModelSpec("x", "normal_linear", predictors=(Term((("z", 1),)),)),),
+     "unknown column 'z'"),
+    ((CovariateModelSpec("x", "normal_linear", predictors=(Term((("y", 1),)),)),),
+     "outcome-derived column 'y'"),
+])
+def test_every_refusal_of_a_given_covariate_model_is_a_covariate_model_error(specs, message):
+    with pytest.raises(CovariateModelError, match=message):
+        run_smcfcs(quadratic_data(seed=10), smcfcs_quadratic_config(covariate_specs=specs))
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"method": "fcs", "covariate_specs": ["x ~ y"]},
+     "covariate_specs must hold CovariateModelSpec values, not 'x ~ y'"),
+    ({"method": "smcfcs", "substantive": ("normal_linear", "y ~ x")},
+     "substantive formula must be a ModelFormula, not 'y ~ x'"),
+])
+def test_engine_config_refuses_a_model_given_as_a_string(kw, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EngineConfig(**kw)
 
 
 def test_spec_family_must_match_kind():
