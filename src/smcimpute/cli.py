@@ -200,13 +200,11 @@ def _read_long_csv(path, schema):
 def cmd_impute(args) -> int:
     schema = read_schema(args.schema)
     d = _load_dataset(args, schema)
-    substantive = None
-    if args.method == "smcfcs":
-        if not args.smodel:
-            _fail("--smodel", "required when --method smcfcs")
-        if not args.family:
-            _fail("--family", "required when --method smcfcs")
-        substantive = (FAMILY_FLAGS[args.family], args.smodel)
+    for flag, value in (("--smodel", args.smodel), ("--family", args.family)):
+        if (value is None) == (args.method == "smcfcs"):
+            _fail(flag, "required when --method smcfcs" if value is None
+                  else "only --method smcfcs takes an outcome model")
+    substantive = (FAMILY_FLAGS[args.family], args.smodel) if args.smodel else None
     try:
         specs = tuple(CovariateModelSpec.from_formula(f, d) for f in args.covmodel)
     except ValueError as exc:

@@ -73,7 +73,7 @@ class VariableRole(str, Enum):
     EVENT = "event"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Column:
     name: str
     kind: VariableKind
@@ -115,7 +115,7 @@ def _zero_one(values) -> bool:
     return bool(np.all((values == 0.0) | (values == 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     columns: tuple[Column, ...]
 
@@ -312,12 +312,11 @@ def write_csv(d: Dataset, path) -> None:
     write_table(path, d.names, blocks=blocks())
 
 
-def atomic_write_text(path, text: str | Iterable[str]) -> None:
-    """Write a string, or an iterable of string chunks, via temp-and-rename so
-    readers never see a partial file.  If a chunk cannot be produced, the
+def atomic_write_text(path, chunks: Iterable[str]) -> None:
+    """Write an iterable of string chunks (a str is one) via temp-and-rename
+    so readers never see a partial file.  If a chunk cannot be produced, the
     temp file is removed and `path` is left as it was.  The file gets the
     mode open(path, "w") gives a new file: 0o666 less the umask."""
-    chunks = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:

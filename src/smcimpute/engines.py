@@ -128,9 +128,9 @@ class EngineConfig:
             check_integer("seed", self.seed, 0)
         if self.iterations is not None:
             check_integer("iterations", self.iterations, 1)
-        if self.method == "smcfcs":
-            if self.substantive is None:
-                raise ValueError("smcfcs requires a substantive (family, formula)")
+        if (self.substantive is None) == (self.method == "smcfcs"):
+            raise ValueError("smcfcs requires a substantive (family, formula), and fcs takes none")
+        if self.substantive is not None:
             family, formula = self.substantive
             if not isinstance(formula, ModelFormula):
                 raise ValueError(f"substantive formula must be a ModelFormula, not {formula!r}")
@@ -179,7 +179,7 @@ class Diagnostics:
         ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputationResult:
     datasets: tuple[Dataset, ...]
     diagnostics: Diagnostics
@@ -253,7 +253,7 @@ def jav_analysis_formula(formula: ModelFormula) -> ModelFormula:
 # ---------------------------------------------------------------------------
 # engine context
 
-@dataclass
+@dataclass(eq=False)
 class _Context:
     d: Dataset  # the input dataset, plus CUMHAZ if a covariate model uses it
     config: EngineConfig
@@ -381,6 +381,16 @@ def _init_columns(ctx: _Context, rng) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # compatible sampler
 
+def _compatible_rows(family, formula, psi, spec, cur, rows):
+    """What both compatible samplers read at `rows`: the outcome family, the
+    values of every other variable either model names, and the outcome's
+    parts for the family's log_ratio."""
+    model = FAMILIES[family]
+    needed = set(formula.variables) | set(spec.formula.variables)
+    base = {v: cur[v][rows] for v in needed if v != spec.target}
+    return model, base, model.y_parts(formula, psi, cur, rows)
+
+
 def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     """P(X_j = 1 | outcome, other covariates) for the rows in `rows`.
 
@@ -389,10 +399,7 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     acceptance ratio at X_j = v times the covariate model's mass at v.
     Raises FitError when the density vanishes (or is NaN) at both values.
     """
-    model = FAMILIES[family]
-    needed = set(formula.variables) | set(spec.formula.variables)
-    base = {v: cur[v][rows] for v in needed if v != spec.target}
-    y_parts = model.y_parts(formula, psi, cur, rows)
+    model, base, y_parts = _compatible_rows(family, formula, psi, spec, cur, rows)
     size = rows.size
     mu = design_from_arrays(spec.formula, base, size) @ phi.beta
     log_w = []
@@ -419,10 +426,7 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
     keeps its first accepted candidate, which is equivalent to proposing one
     candidate at a time.
     """
-    model = FAMILIES[family]
-    needed = set(formula.variables) | set(spec.formula.variables)
-    base = {v: cur[v][rows] for v in needed if v != spec.target}
-    y_parts = model.y_parts(formula, psi, cur, rows)
+    model, base, y_parts = _compatible_rows(family, formula, psi, spec, cur, rows)
     size = rows.size
 
     values = np.empty(size)

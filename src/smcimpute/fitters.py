@@ -127,7 +127,7 @@ def _newton(loglik, X, beta0, *, singular: str, diverged: str, stalled: str):
     raise FitError(stalled)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewtonFit:
     """A logistic or Cox MLE from `_newton`."""
 
@@ -150,7 +150,7 @@ def multivariate_normal_draw(mean, cov, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # normal linear regression
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFit:
     beta: np.ndarray
     sigma2: float  # SSE / (n - k)
@@ -246,7 +246,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, beta0: np.ndarray | None = None) 
 # ---------------------------------------------------------------------------
 # step cumulative hazard
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepCumHazard:
     """Right-continuous step function; zero before the first knot, flat after the last."""
 
@@ -276,7 +276,7 @@ class StepCumHazard:
 # ---------------------------------------------------------------------------
 # Cox proportional hazards (Breslow ties)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoxLayout:
     """Risk-set layout of one (time, event) response, sorted by time once.
 

@@ -30,7 +30,7 @@ class PoolError(RuntimeError):
         self.failed_indices = tuple(failed_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PooledEstimate:
     terms: tuple[str, ...]
     point: np.ndarray
@@ -91,6 +91,8 @@ def pool(estimates, variances, level: float = 0.95, terms=None) -> PooledEstimat
     m = estimates.shape[0]
     if m < 2:
         raise PoolError("pooling needs at least 2 imputations")
+    if not 0.0 < level < 1.0:
+        raise PoolError(f"level must be strictly between 0 and 1, not {level!r}")
     if terms is not None and len(terms) != estimates.shape[1]:
         raise PoolError("label count does not match coefficient count")
     point = estimates.mean(axis=0)

@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Params:
     """Drawn model parameters: coefficients plus the family's extra."""
 

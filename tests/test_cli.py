@@ -103,6 +103,25 @@ def test_impute_engine_abort_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("method, flags, error", [
+    ("fcs", ["--smodel", "y ~ x + x^2"], "--smodel: only --method smcfcs takes an outcome model"),
+    ("fcs", ["--family", "linear"], "--family: only --method smcfcs takes an outcome model"),
+    # even a family that smcfcs would refuse for this response
+    ("fcs", ["--family", "cox", "--smodel", "y ~ x + x^2"],
+     "--smodel: only --method smcfcs takes an outcome model"),
+    ("smcfcs", ["--family", "linear"], "--smodel: required when --method smcfcs"),
+    ("smcfcs", ["--smodel", "y ~ x"], "--family: required when --method smcfcs"),
+])
+def test_an_outcome_model_is_given_exactly_when_the_method_is_smcfcs(quad_files, capsys,
+                                                                      method, flags, error):
+    tmp, data, schema = quad_files
+    out = tmp / "o.csv"
+    assert run(["impute", "--data", data, "--schema", schema, "--method", method, "--m", 2,
+                "--iter", 1, "--out", out, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_impute_partial_covariate_with_no_observed_value_is_an_engine_failure(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("x,y\n" + "".join(f",{0.5 * i}\n" for i in range(20)))

@@ -261,6 +261,12 @@ def test_atomic_write_text_gives_the_mode_of_a_new_file_under_the_umask(tmp_path
         os.umask(previous)
 
 
+def test_records_that_hold_arrays_compare_by_identity():
+    a, b = (Column("x", C, PART, np.zeros(3), np.ones(3, dtype=bool)) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2  # hashable, by identity
+
+
 # a completed view is Dataset.with_values, as the engines build their results
 
 

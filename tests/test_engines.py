@@ -572,8 +572,12 @@ def test_spec_family_must_match_kind():
 
 
 def test_smcfcs_requires_substantive():
-    with pytest.raises(ValueError):
+    message = r"^smcfcs requires a substantive \(family, formula\), and fcs takes none$"
+    with pytest.raises(ValueError, match=message):
         EngineConfig(method="smcfcs", m=2)
+    # and fcs refuses one, even one whose family smcfcs would refuse for its response
+    with pytest.raises(ValueError, match=message):
+        EngineConfig(method="fcs", substantive=("cox", parse_formula("y ~ x1")))
 
 
 @pytest.mark.parametrize("seed, message", [

@@ -64,6 +64,12 @@ def test_pool_needs_two_imputations():
         pool(np.ones((1, 2)), np.ones((1, 2)))
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_pool_refuses_a_level_outside_the_unit_interval(level):
+    with pytest.raises(PoolError, match=f"^level must be strictly between 0 and 1, not {level}$"):
+        pool(np.ones((3, 2)), np.ones((3, 2)), level=level)
+
+
 @given(
     data=st.lists(
         st.tuples(st.floats(-10, 10), st.floats(0.01, 5.0)),
