@@ -105,17 +105,23 @@ _IMPUTE_OUT = _flag_type(str, lambda path: _names_a_file(path)
 # schema and data files
 
 def read_schema(path):
-    """Schema CSV with header name,kind,role."""
+    """Schema CSV with header name,kind,role, in any order, and three cells a row."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header, rows = reader.fieldnames, list(reader)
+            reader = csv.reader(fh)
+            header, rows = next(reader, []), list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         _fail("--schema", str(exc))
-    if header is None or set(header) != {"name", "kind", "role"}:
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        _fail("--schema", f"column {repeated[0]!r} appears twice in the header")
+    if set(header) != {"name", "kind", "role"}:
         _fail("--schema", "header must be exactly: name,kind,role")
     schema = []
-    for row in rows:
+    for number, cells in enumerate(rows, start=2):  # row 1 is the header
+        if len(cells) != 3:
+            _fail("--schema", f"row {number} has {len(cells)} cells, expected 3")
+        row = dict(zip(header, cells))
         try:
             kind = VariableKind(row["kind"])
             role = VariableRole(row["role"])

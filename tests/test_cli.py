@@ -197,7 +197,7 @@ def test_impute_refuses_an_out_whose_diagnostics_path_is_a_directory(tmp_path, m
     err = capsys.readouterr().err
     assert err.startswith("error: argument --out: ") and "OUT.diag.csv" in err
     assert len(err.splitlines()) == 1
-    assert not (tmp_path / "imp.csv").exists()
+    assert [p.name for p in tmp_path.rglob("*")] == ["imp.csv.diag.csv"]  # no file written
 
 
 def test_analyze_single_imputation_is_usage_error(quad_files, tmp_path):
@@ -568,7 +568,9 @@ def test_impute_data_error_under_default_specs_names_the_schema_flag(tmp_path, c
     (lambda rng: gen_interaction("bvnormal", 200, rng),
      ["--method", "smcfcs", "--family", "linear", "--smodel", "y ~ x1 + x2 + x1*x2"],
      "x1 ~ 1", "x2 ~ x1"),
-], ids=["cox-fcs", "interaction-smcfcs"])
+    (lambda rng: gen_interaction("bvnormal", 200, rng), ["--method", "fcs"], "x1 ~ x2",
+     "x2 ~ x1 + y"),
+], ids=["cox-fcs", "interaction-smcfcs", "interaction-fcs"])
 def test_a_covariate_without_its_own_covmodel_gets_its_default_model(tmp_path, generate,
                                                                      method, given, default):
     d = apply_mcar(generate(stream(6, "cli")), 0.7, stream(6, "climask"))
@@ -606,6 +608,24 @@ def test_schema_that_names_a_column_twice_is_refused_as_a_schema_error(quad_file
     out = tmp / "o.csv"
     assert run(impute_args(data, schema, out, method="fcs")) == 2
     assert capsys.readouterr().err == "error: --schema: column y is named twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (SCHEMA.replace("partial_covariate", "partial_covariate,extra"),
+     "row 2 has 4 cells, expected 3"),
+    (SCHEMA + "z\n", "row 4 has 1 cells, expected 3"),
+    (SCHEMA.replace("\ny,", "\n\ny,"), "row 3 has 0 cells, expected 3"),
+    ("name,kind,role,name\nq,continuous,partial_covariate,x\nq,continuous,outcome,y\n",
+     "column 'name' appears twice in the header"),
+], ids=["long-row", "short-row", "blank-row", "repeated-header"])
+def test_schema_row_of_the_wrong_width_or_repeated_header_name_is_refused(quad_files, capsys,
+                                                                          text, message):
+    tmp, data, schema = quad_files
+    schema.write_text(text)
+    out = tmp / "o.csv"
+    assert run(impute_args(data, schema, out, method="fcs", m=2)) == 2
+    assert capsys.readouterr().err == f"error: --schema: {message}\n"
     assert not out.exists()
 
 
@@ -901,6 +921,7 @@ def test_out_is_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("family, smodel", [
+    ("cox", "y ~ x"),
     ("cox", "y ~ x1 + x2"),
     ("linear", "surv(w,d) ~ x1"),
 ])
@@ -1158,6 +1179,7 @@ def test_fuzz_malformed_scenario_json_is_a_usage_error(content, tmp_path_factory
                              "--out", tmp / "s.csv"])
     assert code == 2
     assert err.startswith("error: --scenario: ")
+    assert not (tmp / "s.csv").exists()
 
 
 SMODEL_NAME = st.sampled_from(["x", "z", "y", "b", "t", "e", "q", "w"])  # no column q or w
