@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from smcimpute.cli import main as cli_main
-from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole, write_csv
+from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole, write_csv, write_table
 from smcimpute.rng import stream
 from smcimpute.simlab import apply_mcar, builtin_scenarios, gen_cox, gen_quadratic
 
@@ -92,8 +92,8 @@ def write_set(outdir: Path) -> list[Path]:
         d = apply_mcar(d, 0.7, stream(7, name, "mask"))
         data, schema = outdir / f"{name}.csv", outdir / f"{name}.schema.csv"
         write_csv(d, data)
-        schema.write_text("name,kind,role\n" + "".join(
-            f"{c.name},{c.kind.value},{c.role.value}\n" for c in d.columns))
+        write_table(schema, ("name", "kind", "role"),
+                    [(c.name, c.kind.value, c.role.value) for c in d.columns])
         files.append(data)
         family, smodel = SMODELS[name]
         runs = {

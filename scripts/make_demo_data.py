@@ -8,7 +8,7 @@ random) and schema.csv next to it.
 import argparse
 from pathlib import Path
 
-from smcimpute.dataset import write_csv
+from smcimpute.dataset import write_csv, write_table
 from smcimpute.rng import stream
 from smcimpute.simlab import apply_mcar, gen_quadratic
 
@@ -24,11 +24,8 @@ def main():
     d = apply_mcar(d, 0.7, stream(args.seed, "demo-mask"))
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_csv(d, args.outdir / "quad.csv")
-    (args.outdir / "schema.csv").write_text(
-        "name,kind,role\n"
-        "x,continuous,partial_covariate\n"
-        "y,continuous,outcome\n"
-    )
+    write_table(args.outdir / "schema.csv", ("name", "kind", "role"),
+                [("x", "continuous", "partial_covariate"), ("y", "continuous", "outcome")])
     print(f"wrote {args.outdir / 'quad.csv'} and {args.outdir / 'schema.csv'}")
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage or validation error, 3 numeric or engine
 failure.  `main` returns 2 for every usage error, argparse's own included,
 and prints it as one `error: ...` line.  Each flag's value is checked by its
 argparse `type`; the commands check only what needs a second flag or the
-data.  All file outputs are written atomically (temp file + rename).
+data.  All file outputs are written atomically (temp file + rename) as
+UTF-8, and a write that fails is an `--out` error, exit 2.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ class CliError(Exception):
 
 def _fail(flag: str, message: str):
     raise CliError(f"{flag}: {message}")
+
+
+def _write_out(write, *args):
+    """Call a writer of --out's files; an OSError it raises is an --out error."""
+    try:
+        write(*args)
+    except OSError as exc:
+        _fail("--out", str(exc))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -176,7 +185,7 @@ def _read_long_csv(path, schema):
     imp = columns[header.index("_imp")]
     bad = ~np.isfinite(imp) | (imp != np.floor(imp))
     if bad.any():
-        _fail("--data", f"bad _imp value {imp[bad][0]!r}")
+        _fail("--data", f"bad _imp value {float(imp[bad][0])!r}")
     if np.any(imp[1:] < imp[:-1]):
         order = np.argsort(imp, kind="stable")
         imp = imp[order]
@@ -226,8 +235,8 @@ def cmd_impute(args) -> int:
         _fail("--covmodel", str(exc))
     except DataError as exc:  # a default covariate model, which the schema's roles chose
         _fail("--schema", str(exc))
-    _write_long_csv(args.out, result.datasets, d.names)
-    result.diagnostics.write_csv(f"{args.out}.diag.csv")
+    _write_out(_write_long_csv, args.out, result.datasets, d.names)
+    _write_out(result.diagnostics.write_csv, f"{args.out}.diag.csv")
     for name in sorted(result.diagnostics.proposals):
         rate = result.diagnostics.mean_acceptance(name)
         print(f"{name}: mean acceptance {rate:.3f}, "
@@ -254,7 +263,7 @@ def cmd_analyze(args) -> int:
     except FormulaError as exc:
         _fail("--smodel", str(exc))
     pooled = pool(estimates, variances, level=args.level, terms=args.smodel.labels())
-    pooled.write_csv(args.out)
+    _write_out(pooled.write_csv, args.out)
     return 0
 
 
@@ -300,7 +309,7 @@ def cmd_simulate(args) -> int:
 
     cfg = _load_scenario(args)
     summary = run_scenario(cfg, threads=args.threads)
-    summary.write_csv(args.out)
+    _write_out(summary.write_csv, args.out)
     print(f"{cfg.name}: {summary.n_used}/{summary.n_reps} replications pooled",
           file=sys.stderr)
     return 0

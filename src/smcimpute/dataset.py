@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -313,22 +312,21 @@ def write_csv(d: Dataset, path) -> None:
 
 
 def atomic_write_text(path, chunks: Iterable[str]) -> None:
-    """Write an iterable of string chunks (a str is one) via temp-and-rename
-    so readers never see a partial file.  If a chunk cannot be produced, the
-    temp file is removed and `path` is left as it was.  The file gets the
-    mode open(path, "w") gives a new file: 0o666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    """Write an iterable of string chunks (a str is one) as UTF-8 via
+    temp-and-rename so readers never see a partial file.  If a chunk cannot
+    be produced, the temp file is removed and `path` is left as it was.  The
+    temp file is created as open(path, "w") creates a file, so `path` gets
+    the mode of a new file: 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}")
+    # "x" never opens an existing file, and the file is opened before the try,
+    # so the cleanup unlinks only a file this call created
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        with os.fdopen(fd, "w") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
+        with fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

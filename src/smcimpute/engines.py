@@ -37,7 +37,9 @@ The input's columns were checked when they were built, and the engine does
 not check them again.  A chain owns only the columns it imputes: it copies
 each sampled column once per attempt and reads every other column of the
 input in place.  Each completed dataset holds new columns for the sampled
-covariates and shares every other `Column` with the input.
+covariates and shares every other `Column` with the input.  The exception
+is CUMHAZ: when a covariate model, given or default, names it, each completed
+dataset also holds that column, which the input does not.
 """
 
 from __future__ import annotations

@@ -402,8 +402,6 @@ def breslow_baseline(X, time, event, beta, layout: CoxLayout | None = None) -> S
     xs = np.asarray(X, dtype=float)[layout.order]
     _, _, s0 = _risk_set_sums(xs, np.asarray(beta, dtype=float))
     denom = s0[layout.risk_start]
-    if np.any(denom <= 0):
-        raise FitError("empty risk set at an event time")
     if not np.all(np.isfinite(denom)):
         raise FitError("risk-set sum overflows at an event time")
     jumps = layout.d_count / denom

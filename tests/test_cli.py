@@ -3,14 +3,18 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smcimpute
 from smcimpute.cli import _read_long_csv, _write_long_csv, main, read_schema
 from smcimpute.dataset import (
     DEFAULT_MISSING_TOKENS,
@@ -185,6 +189,60 @@ def test_impute_and_analyze_outputs_take_the_umask(quad_files):
         os.umask(previous)
     for name in ("imp.csv", "imp.csv.diag.csv", "pooled.csv"):
         assert (tmp / name).stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("command", ["impute", "analyze", "simulate"])
+def test_a_failed_output_write_is_an_out_error(quad_files, capsys, command):
+    tmp, data, schema = quad_files
+    long, scenario = tmp / "long.csv", tmp / "tiny.json"
+    long.write_text("_imp,x,y\n1,0.0,1.0\n1,1.0,2.5\n1,2.0,2.9\n"
+                    "2,0.0,1.1\n2,1.0,2.4\n2,2.0,3.2\n")
+    scenario.write_text(json.dumps({"dgp": "quadratic", "variant": "normal",
+                                    "mechanism": "mcar", "n": 50, "reps": 1, "m": 2,
+                                    "methods": ["cc"]}))
+    inputs = sorted(tmp.iterdir())
+    out = tmp / f"{'a' * 300}.csv"  # the directory exists; the name is too long to create
+    argv = {
+        "impute": impute_args(data, schema, out, method="fcs", m=2),
+        "analyze": ["analyze", "--data", long, "--schema", schema, "--family", "linear",
+                    "--smodel", "y ~ x", "--out", out],
+        "simulate": ["simulate", "--scenario", scenario, "--out", out],
+    }[command]
+    assert run(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: --out: ") and "File name too long" in errors[0]
+    assert sorted(tmp.iterdir()) == inputs  # no output and no temp file
+
+
+@pytest.mark.parametrize("command, schema_text, data_text, extra, error", [
+    ("impute", "name,kind,role\n", "x,y\n1.0,2.0\n", [], "--schema: no columns defined"),
+    ("analyze", SCHEMA, "x,y\n1.0,2.0\n", [],
+     "--data: long-format file needs an _imp column"),
+    ("analyze", SCHEMA, "_imp,x,y,z\n1,1.0,2.0,3.0\n", [],
+     "--schema: column 'z' in data has no schema entry"),
+    ("impute", SCHEMA, "x\n1.0\n", [], "--data: {data}: column 'y' missing from header"),
+    ("impute", SCHEMA, "x,y\n,1.0\n2.0,3.0\n", ["--covmodel", "z ~ y"],
+     "--covmodel: unknown target column 'z'"),
+    ("analyze", SCHEMA, "_imp,x,y\n1.5,1.0,2.0\n", [], "--data: bad _imp value 1.5"),
+    ("analyze", SCHEMA, "_imp,x,y\ninf,1.0,2.0\n", [], "--data: bad _imp value inf"),
+], ids=["header-only-schema", "no-imp-column", "column-without-schema-entry",
+        "schema-column-missing", "covmodel-target-missing", "fractional-imp", "infinite-imp"])
+def test_a_refusal_prints_one_exact_error_line(tmp_path, capsys, command, schema_text,
+                                               data_text, extra, error):
+    schema, data, out = tmp_path / "schema.csv", tmp_path / "data.csv", tmp_path / "o.csv"
+    schema.write_text(schema_text)
+    data.write_text(data_text)
+    argv = {
+        "impute": ["impute", "--data", data, "--schema", schema, "--method", "fcs",
+                   "--m", 2, "--iter", 1, "--out", out],
+        "analyze": ["analyze", "--data", data, "--schema", schema, "--family", "linear",
+                    "--smodel", "y ~ x", "--out", out],
+    }[command]
+    assert run(argv + extra) == 2
+    assert capsys.readouterr().err == f"error: {error.format(data=data)}\n"
+    assert not out.exists()
 
 
 def test_impute_refuses_an_out_whose_diagnostics_path_is_a_directory(tmp_path, monkeypatch,
@@ -817,6 +875,27 @@ def test_scenario_json_with_a_utf8_byte_order_mark(tmp_path):
         "n": 50, "reps": 1, "m": 2, "methods": ["cc"]}).encode())
     assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "s.csv"]) == 0
     assert (tmp_path / "s.csv").read_text().startswith("scenario,method")
+
+
+def test_impute_writes_utf8_under_a_locale_that_cannot_encode_the_data(quad_files):
+    # under the C locale with UTF-8 mode off, Python's default encoding is ASCII
+    tmp, data, schema = quad_files
+    text = data.read_text()
+    assert text.startswith("x,y\n")
+    data.write_bytes(("âge,y\n" + text[len("x,y\n"):]).encode("utf-8"))
+    schema.write_bytes(SCHEMA.replace("\nx,", "\nâge,").encode("utf-8"))
+    out = tmp / "imp.csv"
+    src = str(Path(smcimpute.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "LC_ALL": "C"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from smcimpute.cli import main; sys.exit(main())",
+         *map(str, impute_args(data, schema, out, method="fcs", m=2))],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+    assert out.read_bytes().startswith("_imp,âge,y\n".encode("utf-8"))
 
 
 def test_long_csv_with_a_utf8_byte_order_mark(tmp_path):

@@ -261,6 +261,15 @@ def test_atomic_write_text_gives_the_mode_of_a_new_file_under_the_umask(tmp_path
         os.umask(previous)
 
 
+def test_atomic_write_text_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    def umask(mask):
+        pytest.fail("atomic_write_text set the process umask, which other threads share")
+
+    monkeypatch.setattr(os, "umask", umask)
+    atomic_write_text(tmp_path / "out.csv", "a\n")
+    assert (tmp_path / "out.csv").read_text() == "a\n"
+
+
 def test_records_that_hold_arrays_compare_by_identity():
     a, b = (Column("x", C, PART, np.zeros(3), np.ones(3, dtype=bool)) for _ in range(2))
     assert a == a and a != b
