@@ -22,8 +22,8 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
+from smcimpute._special import expit
 from smcimpute.cli import main as cli_main
 from smcimpute.dataset import Column, Dataset, VariableKind, VariableRole, write_csv, write_table
 from smcimpute.rng import stream

@@ -236,7 +236,11 @@ def cmd_impute(args) -> int:
     except DataError as exc:  # a default covariate model, which the schema's roles chose
         _fail("--schema", str(exc))
     _write_out(_write_long_csv, args.out, result.datasets, d.names)
-    _write_out(result.diagnostics.write_csv, f"{args.out}.diag.csv")
+    try:
+        result.diagnostics.write_csv(f"{args.out}.diag.csv")
+    except OSError as exc:
+        os.unlink(args.out)  # a failed --out leaves neither file
+        _fail("--out", str(exc))
     for name in sorted(result.diagnostics.proposals):
         rate = result.diagnostics.mean_acceptance(name)
         print(f"{name}: mean acceptance {rate:.3f}, "

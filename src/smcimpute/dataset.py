@@ -279,11 +279,18 @@ def write_table(path, header, rows=(), blocks=()) -> None:
     number (a Python int or float) by its repr, which reads back bit-exactly.
     A block is equal-length columns of cells already written out, as
     format_values gives them, so a large file is formatted a chunk of columns
-    at a time with no per-cell dispatch.  No cell is quoted.
+    at a time with no per-cell dispatch.  No cell is quoted, so a str cell
+    that check_csv_name refuses raises ValueError and `path` is left as it was.
     """
+    def cell(c):
+        if not isinstance(c, str):
+            return repr(c)
+        check_csv_name("cell", c)
+        return c
+
     def chunks():
         for row in (header, *rows):
-            yield ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n"
+            yield ",".join(map(cell, row)) + "\n"
         for columns in blocks:
             yield "\n".join(map(",".join, zip(*columns))) + "\n"
 

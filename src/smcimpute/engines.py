@@ -383,14 +383,15 @@ def _init_columns(ctx: _Context, rng) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # compatible sampler
 
-def _compatible_rows(family, formula, psi, spec, cur, rows):
+def _compatible_rows(family, formula, psi, spec, phi, cur, rows):
     """What both compatible samplers read at `rows`: the outcome family, the
-    values of every other variable either model names, and the outcome's
-    parts for the family's log_ratio."""
+    values of every other variable either model names, the outcome's parts
+    for the family's log_ratio, and the covariate model's mean per cell."""
     model = FAMILIES[family]
     needed = set(formula.variables) | set(spec.formula.variables)
     base = {v: cur[v][rows] for v in needed if v != spec.target}
-    return model, base, model.y_parts(formula, psi, cur, rows)
+    mu = design_from_arrays(spec.formula, base, rows.size) @ phi.beta
+    return model, base, model.y_parts(formula, psi, cur, rows), mu
 
 
 def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
@@ -401,9 +402,8 @@ def smc_binary_probs(family, formula, psi, spec, phi, cur, rows):
     acceptance ratio at X_j = v times the covariate model's mass at v.
     Raises FitError when the density vanishes (or is NaN) at both values.
     """
-    model, base, y_parts = _compatible_rows(family, formula, psi, spec, cur, rows)
+    model, base, y_parts, mu = _compatible_rows(family, formula, psi, spec, phi, cur, rows)
     size = rows.size
-    mu = design_from_arrays(spec.formula, base, size) @ phi.beta
     log_w = []
     for v in (0.0, 1.0):
         cols = dict(base)
@@ -424,12 +424,13 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
     cap takes the candidate with the highest acceptance ratio seen so far;
     if every one of its candidates had a ratio of 0 (or NaN), FitError.
 
-    Proposals are drawn in growing per-cell batches; within a batch each cell
-    keeps its first accepted candidate, which is equivalent to proposing one
-    candidate at a time.
+    Proposals are drawn in growing per-cell batches, held as (pending cell x
+    candidate) arrays; within a batch each cell keeps its first accepted
+    candidate, which is equivalent to proposing one candidate at a time.
     """
-    model, base, y_parts = _compatible_rows(family, formula, psi, spec, cur, rows)
+    model, base, y_parts, mu = _compatible_rows(family, formula, psi, spec, phi, cur, rows)
     size = rows.size
+    others = [v for v in formula.variables if v != spec.target]
 
     values = np.empty(size)
     best_log_ratio = np.full(size, -np.inf)
@@ -441,30 +442,29 @@ def smc_reject_sample(family, formula, psi, spec, phi, cur, rows, rng, max_rejec
     while pending.size:
         batch = min(batch, max(max_rejections - attempts, 1))
         npend = pending.size
-        wide = npend * batch
-        sub = {v: np.repeat(arr[pending], batch) for v, arr in base.items()}
-        cand = spec.model.sample(phi, design_from_arrays(spec.formula, sub, wide) @ phi.beta, rng)
+        cand = spec.model.sample(phi, np.repeat(mu[pending], batch), rng)
+        sub = {v: np.repeat(base[v][pending], batch) for v in others}
         sub[spec.target] = cand
+        g = design_from_arrays(formula, sub, cand.size) @ psi.beta
         y_sub = tuple(np.repeat(part[pending], batch) for part in y_parts)
-        g = design_from_arrays(formula, sub, wide) @ psi.beta
-        log_ratio = model.log_ratio(psi, y_sub, g)
-        proposals += wide
+        # from here on, one row per pending cell and one column per candidate
+        log_ratio = model.log_ratio(psi, y_sub, g).reshape(npend, batch)
+        cand = cand.reshape(npend, batch)
+        proposals += cand.size
         attempts += batch
         ratio = np.exp(np.minimum(log_ratio, 0.0))
-        accept = (rng.random(wide) <= ratio) & (ratio > 0.0)
+        accept = (rng.random((npend, batch)) <= ratio) & (ratio > 0.0)
 
-        accept2 = accept.reshape(npend, batch)
-        hit = accept2.any(axis=1)
-        first = accept2.argmax(axis=1)  # column of the first acceptance per cell
-        taken = cand.reshape(npend, batch)[np.arange(npend), first]
-        values[pending[hit]] = taken[hit]
+        cells = np.arange(npend)
+        hit = accept.any(axis=1)
+        first = accept.argmax(axis=1)  # the first acceptance per cell
+        values[pending[hit]] = cand[cells, first][hit]
 
-        lr2 = log_ratio.reshape(npend, batch)
-        row_best = lr2.argmax(axis=1)
-        row_best_lr = lr2[np.arange(npend), row_best]
+        best = log_ratio.argmax(axis=1)
+        row_best_lr = log_ratio[cells, best]
         better = row_best_lr > best_log_ratio[pending]
         best_log_ratio[pending[better]] = row_best_lr[better]
-        best_value[pending[better]] = cand.reshape(npend, batch)[np.arange(npend), row_best][better]
+        best_value[pending[better]] = cand[cells, best][better]
 
         pending = pending[~hit]
         if attempts >= max_rejections:

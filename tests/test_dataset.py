@@ -19,6 +19,7 @@ from smcimpute.dataset import (
     write_csv,
     write_table,
 )
+from smcimpute.pooling import pool
 
 C, B = VariableKind.CONTINUOUS, VariableKind.BINARY
 PART, COMP, OUT = (
@@ -226,6 +227,19 @@ def test_write_table_writes_a_str_as_it_is_and_a_number_by_its_repr(tmp_path):
     write_table(path, ("kind", "n", "value"), [("a", 3, 0.1), ("", -2, float("nan"))],
                 blocks=[[["b", "c"], ["1", "2"], format_values(np.array([1e-300, -0.0]))]])
     assert path.read_text() == "kind,n,value\na,3,0.1\n,-2,nan\nb,1,1e-300\nc,2,-0.0\n"
+
+
+@pytest.mark.parametrize("write", ["dataset", "pooled"])
+def test_write_table_refuses_a_str_cell_a_reader_would_split(tmp_path, write):
+    target = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="'a,b' contains a comma"):
+        if write == "dataset":  # a header cell
+            write_csv(Dataset((Column("a,b", C, COMP, np.zeros(2), np.ones(2, dtype=bool)),)),
+                      target)
+        else:  # a row cell
+            pool(np.array([[1.0], [2.0]]), np.array([[0.1], [0.2]]),
+                 terms=["a,b"]).write_csv(target)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_text_failing_chunks_leave_no_file(tmp_path):

@@ -300,6 +300,25 @@ def test_smc_reject_continuous_samples_conjugate_conditional():
     assert abs(draws.std(ddof=1) - sd) < 4.0 * sd * np.sqrt(0.5 / m)
 
 
+def test_rejection_candidates_come_from_each_cell_s_covariate_mean():
+    # x ~ z under y ~ x, with psi flat in x and y at its intercept: every log
+    # ratio is 0, so each cell takes its first candidate, drawn around its
+    # own mean even though the outcome formula does not name z
+    formula = parse_formula("y ~ x")
+    spec = CovariateModelSpec("x", "normal_linear", predictors=(Term((("z", 1),)),))
+    phi = CovariateParams(beta=np.array([0.5, 2.0]), sigma2=0.25)
+    psi = SubstantiveParams(family="normal_linear", beta=np.array([1.5, 0.0]), sigma2=1.0)
+    n = 8
+    cur = {"x": np.zeros(n), "z": np.arange(n, dtype=float), "y": np.full(n, 1.5)}
+    rows = np.array([6, 1, 4])
+    values, proposals, fallbacks = smc_reject_sample(
+        "normal_linear", formula, psi, spec, phi, cur, rows, np.random.default_rng(9), 64)
+    mu = 0.5 + 2.0 * cur["z"][rows]
+    expected = spec.model.sample(phi, np.repeat(mu, 4), np.random.default_rng(9))[::4]
+    assert (proposals, fallbacks) == (4 * rows.size, 0)
+    np.testing.assert_array_equal(values, expected)
+
+
 def test_rejection_cap_falls_back_to_best_candidate():
     formula = parse_formula("y ~ x")
     spec = CovariateModelSpec("x", "normal_linear", predictors=())
